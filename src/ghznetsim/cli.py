@@ -275,6 +275,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             ("star-formula", lambda: validation.suite_star_formula(n_samples=25)),
             ("steiner-oracle", validation.suite_steiner_oracle),
             ("star-flow-oracle", lambda: validation.suite_star_flow_oracle(n_graphs=12)),
+            ("lexicographic-oracle", validation.suite_lexicographic_oracle),
             ("noise-identities", validation.suite_noise_identities),
             ("bound-gap", lambda: validation.suite_bound_gap(
                 qc_values=(1, 5, 13), n_sets=2, successes=10)),

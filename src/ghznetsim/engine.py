@@ -66,6 +66,15 @@ class SimConfig:
             raise ConfigError("need at least two users")
         if self.users is None and self.n_users < 2:
             raise ConfigError("need at least two users")
+        n_nodes = self.graph.n_nodes
+        if self.users is not None:
+            if len(set(self.users)) != len(self.users):
+                raise ConfigError(f"duplicate users in {tuple(self.users)}")
+            outside = [u for u in self.users if not 0 <= u < n_nodes]
+            if outside:
+                raise ConfigError(f"users {outside} outside the node range [0, {n_nodes})")
+        elif self.n_users > n_nodes:
+            raise ConfigError(f"{self.n_users} users but only {n_nodes} nodes")
         try:
             protocols.Protocol(self.protocol)
         except ValueError as exc:

@@ -1,13 +1,18 @@
 """Route selection on probability- or fidelity-weighted graphs.
 
 All algorithms maximise a product of edge values in (0, 1] by minimising the
-sum of per-edge costs ``-log(value)``. Costs are small tuples compared
-lexicographically, which implements two-step objectives (e.g. success
-probability first, Werner product as tie-break) in a single pass; the last
-component is always a hop count of 1 per edge so that ties never leave
-zero-cost cycles. Edges with value 0 are unusable and dropped. All tie-breaks
-are deterministic: adjacency is iterated in sorted order and heaps are keyed
-by (cost, node).
+sum of per-edge costs ``-log(value)``. A cost has three components compared
+lexicographically: a primary float, a secondary float and an integer hop
+count. The secondary component carries two-step objectives (e.g. success
+probability first, Werner product as tie-break) in a single pass and is 0.0
+when there is none; every edge adds one hop, so ties never leave zero-cost
+cycles. Edges with primary value 0 are unusable and dropped.
+
+The three components are held in parallel lists indexed by a dense node
+index (nodes in ascending id order) or by arc id, so the inner loops of the
+Steiner DP, the star flow and Dijkstra do scalar arithmetic only. All
+tie-breaks are deterministic: adjacency is iterated in ascending neighbour
+order and heaps are keyed by (primary, secondary, hops, node).
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ Edge = tuple[int, int]
 
 # stand-in for an infinite cost component; keeps residual-arc arithmetic finite
 _HUGE_COST = 1e18
+_INF = math.inf
 
 
 class RoutingError(ValueError):
@@ -42,70 +48,21 @@ def canon(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _add(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _close(a: tuple, b: tuple, tol: float = 1e-9) -> bool:
+def _close(a: Sequence[float], b: Sequence[float], tol: float = 1e-9) -> bool:
     """Componentwise float equality; sums along different orders drift."""
     return all(abs(x - y) <= tol * max(1.0, abs(x), abs(y)) for x, y in zip(a, b))
 
 
-def _lex_less(a: tuple, b: tuple, tol: float = 1e-12) -> bool:
-    """Lexicographic less-than that treats near-equal components as ties.
-
-    Flow relaxations must use this: rounding drift between equal-cost paths
-    would otherwise fabricate epsilon-negative residual cycles and the
-    shortest-path search would circle them forever.
-    """
-    for x, y in zip(a, b):
-        if x < y - tol:
-            return True
-        if x > y + tol:
-            return False
-    return False
-
-
-class _Net:
-    """Adjacency view over a cost-weighted undirected edge set."""
-
-    def __init__(self, edge_costs: Mapping[Edge, tuple]):
-        self.edge_costs = dict(edge_costs)
-        self.zero = (0.0,) * len(next(iter(edge_costs.values()))) if edge_costs else (0.0,)
-        adj: dict[int, list[tuple[int, tuple]]] = {}
-        for (u, v), cost in edge_costs.items():
-            adj.setdefault(u, []).append((v, cost))
-            adj.setdefault(v, []).append((u, cost))
-        self.adj = {x: sorted(nbrs) for x, nbrs in sorted(adj.items())}
-        self.nodes = sorted(self.adj)
-
-    def dijkstra(self, source: int) -> tuple[dict[int, tuple], dict[int, int]]:
-        dist = {source: self.zero}
-        parent: dict[int, int] = {}
-        heap = [(self.zero, source)]
-        done: set[int] = set()
-        while heap:
-            d, x = heapq.heappop(heap)
-            if x in done:
-                continue
-            done.add(x)
-            for y, cost in self.adj.get(x, ()):
-                nd = _add(d, cost)
-                if y not in dist or nd < dist[y]:
-                    dist[y] = nd
-                    parent[y] = x
-                    heapq.heappush(heap, (nd, y))
-        return dist, parent
-
 def edge_cost_map(edges: Iterable[Edge], primary: Mapping[Edge, float],
-                  secondary: Mapping[Edge, float] | None = None) -> dict[Edge, tuple]:
-    """Build lexicographic cost tuples from edge values.
+                  secondary: Mapping[Edge, float] | None = None
+                  ) -> dict[Edge, tuple[float, float]]:
+    """(primary, secondary) cost per usable edge; every edge also costs one hop.
 
     Primary-value-0 edges are dropped (a route through them can never be
     used); a secondary value of 0 costs infinity but keeps the edge usable
-    for the primary objective.
+    for the primary objective. Without a secondary map that component is 0.0.
     """
-    costs: dict[Edge, tuple] = {}
+    costs: dict[Edge, tuple[float, float]] = {}
     for e in edges:
         e = canon(*e)
         p = primary[e]
@@ -113,15 +70,79 @@ def edge_cost_map(edges: Iterable[Edge], primary: Mapping[Edge, float],
             raise RoutingError(f"edge value {p} outside [0, 1] on {e}")
         if p == 0.0:
             continue
-        cost = [-math.log(p)]
+        cs = 0.0
         if secondary is not None:
             s = secondary[e]
             if not 0.0 <= s <= 1.0:
                 raise RoutingError(f"edge value {s} outside [0, 1] on {e}")
-            cost.append(_HUGE_COST if s == 0.0 else -math.log(s))
-        cost.append(1.0)
-        costs[e] = tuple(cost)
+            cs = _HUGE_COST if s == 0.0 else -math.log(s)
+        costs[e] = (-math.log(p), cs)
     return costs
+
+
+def _relax(adj: list, cp: list, cs: list, ch: list, prov: list,
+           heap: list, stop: int = -1) -> None:
+    """Dijkstra from the seeded heap over costs held in ``cp/cs/ch``.
+
+    Improves the per-node cost lists in place, records the predecessor of
+    every improved node in ``prov`` and returns early once node ``stop`` is
+    settled. Heap entries are (primary, secondary, hops, node).
+    """
+    done = [False] * len(adj)
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        d, ds, dh, x = pop(heap)
+        if done[x]:
+            continue
+        if x == stop:
+            return
+        done[x] = True
+        dh += 1
+        for y, ep, es in adj[x]:
+            nd = d + ep
+            py = cp[y]
+            if nd > py:
+                continue
+            ns = ds + es
+            if nd == py and (ns > cs[y] or (ns == cs[y] and dh >= ch[y])):
+                continue
+            cp[y] = nd
+            cs[y] = ns
+            ch[y] = dh
+            prov[y] = x
+            push(heap, (nd, ns, dh, y))
+
+
+class _Net:
+    """Adjacency over a cost-weighted undirected edge set.
+
+    Nodes are renumbered 0..n-1 in ascending id order (``nodes`` maps back,
+    ``index`` forward), so index order and id order agree in every
+    tie-break. ``adj[i]`` lists (neighbour, primary, secondary) by neighbour.
+    """
+
+    def __init__(self, edge_costs: Mapping[Edge, tuple[float, float]]):
+        self.nodes = sorted({x for e in edge_costs for x in e})
+        self.index = {x: i for i, x in enumerate(self.nodes)}
+        self.adj: list[list[tuple[int, float, float]]] = [[] for _ in self.nodes]
+        for (u, v), (ep, es) in edge_costs.items():
+            iu, iv = self.index[u], self.index[v]
+            self.adj[iu].append((iv, ep, es))
+            self.adj[iv].append((iu, ep, es))
+        for nbrs in self.adj:
+            nbrs.sort()
+
+    def costs(self) -> tuple[list[float], list[float], list[int], list[int]]:
+        """Fresh (primary, secondary, hops, provenance) lists, all unreached."""
+        n = len(self.nodes)
+        return [_INF] * n, [0.0] * n, [0] * n, [-1] * n
+
+    def dijkstra(self, source: int) -> tuple[list[float], list[float], list[int], list[int]]:
+        """Cheapest costs from node index ``source`` and each node's parent index."""
+        cp, cs, ch, parent = self.costs()
+        cp[source] = 0.0
+        _relax(self.adj, cp, cs, ch, parent, [(0.0, 0.0, 0, source)])
+        return cp, cs, ch, parent
 
 
 @dataclass(frozen=True)
@@ -278,103 +299,96 @@ def max_product_path(edges: Sequence[Edge], values: Mapping[Edge, float],
     """
     if u == v:
         return ()
-    costs = edge_cost_map(edges, values)
-    net = _Net(costs)
-    if u not in net.adj or v not in net.adj:
+    net = _Net(edge_cost_map(edges, values))
+    if u not in net.index or v not in net.index:
         raise NoRouteError(f"no path between {u} and {v}")
-    dist_u, _ = net.dijkstra(u)
-    dist_v, _ = net.dijkstra(v)
-    if v not in dist_u:
+    iu, iv = net.index[u], net.index[v]
+    up, us, uh, _ = net.dijkstra(iu)
+    vp, vs, vh, _ = net.dijkstra(iv)
+    if up[iv] == _INF:
         raise NoRouteError(f"no path between {u} and {v}")
-    total = dist_u[v]
+    total = (up[iv], us[iv], uh[iv])
     # walk tight edges greedily: smallest next node that still lies on some
     # optimal path gives the lexicographically smallest optimal sequence
-    path = [u]
-    acc = net.zero
-    while path[-1] != v:
-        here = path[-1]
-        step = None
-        for y, cost in net.adj[here]:
-            if y in dist_v and _close(_add(_add(acc, cost), dist_v[y]), total):
-                step = (y, cost)
+    path = [iu]
+    ap, as_, ah = 0.0, 0.0, 0
+    while path[-1] != iv:
+        for y, ep, es in net.adj[path[-1]]:
+            if vp[y] != _INF and _close(((ap + ep) + vp[y], (as_ + es) + vs[y],
+                                         (ah + 1) + vh[y]), total):
                 break
-        if step is None:
+        else:
             raise RoutingError("tight-edge walk failed")  # unreachable
-        path.append(step[0])
-        acc = _add(acc, step[1])
-    return tuple(path)
+        path.append(y)
+        ap, as_, ah = ap + ep, as_ + es, ah + 1
+    return tuple(net.nodes[x] for x in path)
 
 
 def _steiner_dp(net: _Net, terminals: Sequence[int]) -> set[Edge]:
-    """Exact minimum-cost Steiner tree by dynamic programming over terminal subsets."""
-    k = len(terminals)
-    full = (1 << k) - 1
-    # dp[mask][v] = (cost, provenance); provenance reconstructs the tree
-    dp: list[dict[int, tuple]] = [dict() for _ in range(full + 1)]
-    prov: list[dict[int, tuple]] = [dict() for _ in range(full + 1)]
+    """Exact minimum-cost Steiner tree by dynamic programming over terminal subsets.
 
-    def relax(mask: int, seeds: dict[int, tuple]) -> None:
-        best = dp[mask]
-        heap = [(cost, v) for v, cost in sorted(seeds.items())]
-        heapq.heapify(heap)
-        while heap:
-            d, x = heapq.heappop(heap)
-            if x in best and best[x] < d:
-                continue
-            for y, cost in net.adj.get(x, ()):
-                nd = _add(d, cost)
-                if y not in best or nd < best[y]:
-                    best[y] = nd
-                    prov[mask][y] = ("edge", x)
-                    heapq.heappush(heap, (nd, y))
-
+    ``terminals`` are node indices. For every terminal subset ``mask``,
+    ``dp[mask]`` holds per-node lists (primary, secondary, hops, provenance)
+    of the cheapest tree joining the subset to each node. Provenance is -1
+    for a terminal seed, a parent node >= 0 for an edge step and ``~sub``
+    for a merge of the subtrees of ``sub`` and ``mask ^ sub``.
+    """
+    adj = net.adj
+    full = (1 << len(terminals)) - 1
+    dp: list = [None] * (full + 1)
     for i, t in enumerate(terminals):
-        mask = 1 << i
-        dp[mask][t] = net.zero
-        prov[mask][t] = ("seed",)
-        relax(mask, {t: net.zero})
+        dp[1 << i] = cp, cs, ch, prov = net.costs()
+        cp[t] = 0.0
+        _relax(adj, cp, cs, ch, prov, [(0.0, 0.0, 0, t)])
+    root = terminals[0]
+    if any(dp[1][0][t] == _INF for t in terminals):
+        raise NoRouteError("terminals are not connected")
+    # every subset's tree reaches exactly the terminals' component
+    reach = [v for v, c in enumerate(dp[1][0]) if c != _INF]
 
-    for mask in range(1, full + 1):
+    for mask in range(3, full + 1):
         if mask & (mask - 1) == 0:
             continue
         low = mask & -mask
-        seeds: dict[int, tuple] = {}
+        dp[mask] = cp, cs, ch, prov = net.costs()
         sub = (mask - 1) & mask
         while sub:
             # canonical split: the half containing the lowest terminal
             if sub & low:
-                other = mask ^ sub
-                for v, ca in sorted(dp[sub].items()):
-                    cb = dp[other].get(v)
-                    if cb is not None:
-                        cand = _add(ca, cb)
-                        if v not in dp[mask] or cand < dp[mask][v]:
-                            dp[mask][v] = cand
-                            prov[mask][v] = ("merge", sub)
-                            seeds[v] = cand
+                ap, as_, ah, _ = dp[sub]
+                bp, bs, bh, _ = dp[mask ^ sub]
+                merged = ~sub
+                for v in reach:
+                    nd = ap[v] + bp[v]
+                    pv = cp[v]
+                    if nd > pv:
+                        continue
+                    ns = as_[v] + bs[v]
+                    nh = ah[v] + bh[v]
+                    if nd == pv and (ns > cs[v] or (ns == cs[v] and nh >= ch[v])):
+                        continue
+                    cp[v] = nd
+                    cs[v] = ns
+                    ch[v] = nh
+                    prov[v] = merged
             sub = (sub - 1) & mask
-        relax(mask, seeds)
+        heap = [(cp[v], cs[v], ch[v], v) for v in reach]
+        heapq.heapify(heap)
+        # only the root of the full set is read back, and it is final once settled
+        _relax(adj, cp, cs, ch, prov, heap, stop=root if mask == full else -1)
 
-    root = terminals[0]
-    if root not in dp[full]:
-        raise NoRouteError("terminals are not connected")
-
+    nodes = net.nodes
     edges: set[Edge] = set()
-
-    def rebuild(mask: int, v: int) -> None:
-        kind = prov[mask][v]
-        if kind[0] == "seed":
-            return
-        if kind[0] == "edge":
-            u = kind[1]
-            edges.add(canon(u, v))
-            rebuild(mask, u)
-        else:
-            sub = kind[1]
-            rebuild(sub, v)
-            rebuild(mask ^ sub, v)
-
-    rebuild(full, root)
+    stack = [(full, root)]
+    while stack:
+        mask, v = stack.pop()
+        how = dp[mask][3][v]
+        if how >= 0:
+            edges.add(canon(nodes[how], nodes[v]))
+            stack.append((mask, how))
+        elif how != -1:
+            stack.append((~how, v))
+            stack.append((mask ^ ~how, v))
     return edges
 
 
@@ -408,10 +422,10 @@ def exact_steiner_tree(edges: Sequence[Edge], values: Mapping[Edge, float],
         raise UnsupportedSizeError("exact Steiner search limited to 6 terminals")
     net = _Net(edge_cost_map(edges, values, secondary))
     for t in terminals:
-        if t not in net.adj:
+        if t not in net.index:
             raise NoRouteError(f"terminal {t} has no usable edges")
-    tree = _prune_leaves(_steiner_dp(net, terminals), set(terminals))
-    return _tree_solution(tree, terminals)
+    tree = _steiner_dp(net, [net.index[t] for t in terminals])
+    return _tree_solution(_prune_leaves(tree, set(terminals)), terminals)
 
 
 def approx_steiner_tree(edges: Sequence[Edge], values: Mapping[Edge, float],
@@ -421,35 +435,38 @@ def approx_steiner_tree(edges: Sequence[Edge], values: Mapping[Edge, float],
     if len(terminals) < 2:
         raise RoutingError("need at least two terminals")
     net = _Net(edge_cost_map(edges, values))
-    dists: dict[int, dict[int, tuple]] = {}
-    parents: dict[int, dict[int, int]] = {}
+    index = net.index
+    spt: dict[int, tuple] = {}
     for t in terminals:
-        if t not in net.adj:
+        if t not in index:
             raise NoRouteError(f"terminal {t} has no usable edges")
-        dists[t], parents[t] = net.dijkstra(t)
+        spt[t] = net.dijkstra(index[t])
     # minimum spanning tree over the terminal metric closure (Prim)
     in_tree = {terminals[0]}
     closure_edges: list[tuple[int, int]] = []
     while len(in_tree) < len(terminals):
         best = None
         for a in sorted(in_tree):
+            cp, cs, ch, _ = spt[a]
             for b in terminals:
                 if b in in_tree:
                     continue
-                if b not in dists[a]:
+                ib = index[b]
+                if cp[ib] == _INF:
                     raise NoRouteError("terminals are not connected")
-                cand = (dists[a][b], a, b)
+                cand = (cp[ib], cs[ib], ch[ib], a, b)
                 if best is None or cand < best:
                     best = cand
-        _, a, b = best
+        a, b = best[3:]
         closure_edges.append((a, b))
         in_tree.add(b)
     tree: set[Edge] = set()
     for a, b in closure_edges:
-        x = b
-        while x != a:
-            p = parents[a][x]
-            tree.add(canon(p, x))
+        parent = spt[a][3]
+        x, ia = index[b], index[a]
+        while x != ia:
+            p = parent[x]
+            tree.add(canon(net.nodes[p], net.nodes[x]))
             x = p
     tree = _prune_leaves(tree, set(terminals))
     # overlapping closure paths can create cycles; thin them out with the DP
@@ -484,88 +501,142 @@ def _spanning_fallback(tree: set[Edge], values: Mapping[Edge, float],
 
 
 class _FlowNet:
-    """Unit-capacity min-cost flow via successive shortest augmenting paths.
+    """Unit-capacity flow from a centre to a sink behind every user.
 
-    Shortest paths in the residual graph are found with a Bellman-Ford queue,
-    which stays correct on the negative-cost residual arcs without potential
+    Arcs are held in parallel lists ``to``, ``cap``, ``flow`` and
+    ``cost_p``/``cost_s``/``cost_h`` indexed by arc id; arc ``i ^ 1`` is the
+    residual of arc ``i``. Node index 0 is the sink and real nodes follow in
+    ascending id order, so the sink sorts first as it would with id -1.
+    Without ``costs`` no cost lists are built and only ``saturate`` runs.
+
+    ``send`` finds min-cost augmenting paths with a Bellman-Ford queue, which
+    stays correct on the negative-cost residual arcs without potential
     bookkeeping; the graphs here are tiny.
     """
 
-    def __init__(self, edge_costs: Mapping[Edge, tuple], users: Sequence[int]):
-        self.zero = (0.0,) * len(next(iter(edge_costs.values()))) if edge_costs else (0.0,)
-        self.sink = -1
-        # arcs: list of [to, cap, cost, flow]; paired residuals at i ^ 1
-        self.arcs: list[list] = []
-        self.out: dict[int, list[int]] = {}
-        for (u, v), cost in sorted(edge_costs.items()):
-            self._arc(u, v, 1, cost)
-            self._arc(v, u, 1, cost)
-        for u in sorted(users):
-            self._arc(u, self.sink, 1, self.zero)
+    def __init__(self, edges: Sequence[Edge], users: Sequence[int],
+                 costs: Mapping[Edge, tuple[float, float]] | None = None):
+        self.nodes = [-1] + sorted({x for e in edges for x in e} | set(users))
+        self.index = index = {x: i for i, x in enumerate(self.nodes)}
+        self.out: list[list[int]] = [[] for _ in self.nodes]
+        self.to: list[int] = []
+        to, out = self.to, self.out
+        for u, v in edges:
+            iu, iv, i = index[u], index[v], len(to)
+            # u->v and its residual, then v->u and its residual
+            to += (iv, iu, iu, iv)
+            out[iu] += (i, i + 3)
+            out[iv] += (i + 1, i + 2)
+        for u in users:
+            iu, i = index[u], len(to)
+            to += (0, iu)
+            out[iu].append(i)
+            out[0].append(i + 1)
+        self.cap = [1, 0] * (len(to) // 2)
+        self.flow = [0] * len(to)
+        if costs is not None:
+            self.cost_p: list[float] = []
+            self.cost_s: list[float] = []
+            for e in edges:
+                ep, es = costs[e]
+                self.cost_p += (ep, -ep, ep, -ep)
+                self.cost_s += (es, -es, es, -es)
+            self.cost_p += (0.0, -0.0) * len(users)
+            self.cost_s += (0.0, -0.0) * len(users)
+            self.cost_h = [1, -1] * (2 * len(edges)) + [0, 0] * len(users)
 
-    def _arc(self, u: int, v: int, cap: int, cost: tuple) -> None:
-        self.out.setdefault(u, []).append(len(self.arcs))
-        self.arcs.append([v, cap, cost, 0])
-        self.out.setdefault(v, []).append(len(self.arcs))
-        self.arcs.append([u, 0, tuple(-c for c in cost), 0])
+    def _augment(self, source: int, prev_arc: list[int]) -> None:
+        """Push one unit along the arcs recorded back from the sink."""
+        to, flow = self.to, self.flow
+        x = 0
+        while x != source:
+            ai = prev_arc[x]
+            flow[ai] += 1
+            flow[ai ^ 1] -= 1
+            x = to[ai ^ 1]
 
-    def send(self, source: int, units: int) -> int:
-        """Augment up to ``units`` along successive shortest paths; returns count."""
-        sent = 0
-        relax_budget = 200 * max(1, len(self.out)) * max(1, len(self.arcs))
-        for _ in range(units):
-            dist: dict[int, tuple] = {source: self.zero}
-            prev_arc: dict[int, int] = {}
+    def saturate(self, source: int, units: int) -> int:
+        """Augment up to ``units`` along any paths (BFS); returns count."""
+        to, cap, flow, out = self.to, self.cap, self.flow, self.out
+        for sent in range(units):
+            prev_arc = [-1] * len(out)
+            prev_arc[source] = -2
             queue = deque([source])
-            queued = {source}
+            while queue and prev_arc[0] == -1:
+                x = queue.popleft()
+                for ai in out[x]:
+                    y = to[ai]
+                    if cap[ai] > flow[ai] and prev_arc[y] == -1:
+                        prev_arc[y] = ai
+                        queue.append(y)
+            if prev_arc[0] == -1:
+                return sent
+            self._augment(source, prev_arc)
+        return units
+
+    def send(self, source: int, units: int, tol: float = 1e-12) -> int:
+        """Augment up to ``units`` along successive cheapest paths; returns count.
+
+        Relaxation uses a lexicographic less-than that treats components
+        within ``tol`` as ties: rounding drift between equal-cost paths would
+        otherwise fabricate epsilon-negative residual cycles and the search
+        would circle them forever.
+        """
+        to, cap, flow, out = self.to, self.cap, self.flow, self.out
+        arc_p, arc_s, arc_h = self.cost_p, self.cost_s, self.cost_h
+        n = len(out)
+        relax_budget = 200 * n * max(1, len(to))
+        for sent in range(units):
+            cp, cs, ch = [_INF] * n, [0.0] * n, [0] * n
+            prev_arc = [-1] * n
+            queued = [False] * n
+            cp[source] = 0.0
+            queued[source] = True
+            queue = deque([source])
             spent = 0
             while queue:
                 x = queue.popleft()
-                queued.discard(x)
-                d = dist[x]
-                for ai in self.out.get(x, ()):
-                    to, cap, cost, flow = self.arcs[ai]
-                    if cap - flow <= 0:
+                queued[x] = False
+                d, ds, dh = cp[x], cs[x], ch[x]
+                for ai in out[x]:
+                    if cap[ai] - flow[ai] <= 0:
                         continue
                     spent += 1
-                    nd = _add(d, cost)
-                    if to not in dist or _lex_less(nd, dist[to]):
-                        dist[to] = nd
-                        prev_arc[to] = ai
-                        if to != self.sink and to not in queued:
-                            queued.add(to)
-                            queue.append(to)
+                    y = to[ai]
+                    nd = d + arc_p[ai]
+                    py = cp[y]
+                    if nd > py + tol:
+                        continue
+                    ns = ds + arc_s[ai]
+                    nh = dh + arc_h[ai]
+                    if not nd < py - tol:
+                        sy = cs[y]
+                        if ns > sy + tol or (not ns < sy - tol and not nh < ch[y] - tol):
+                            continue
+                    cp[y] = nd
+                    cs[y] = ns
+                    ch[y] = nh
+                    prev_arc[y] = ai
+                    if y != 0 and not queued[y]:
+                        queued[y] = True
+                        queue.append(y)
                 if spent > relax_budget:
                     raise RoutingError("flow relaxation failed to converge")
-            if self.sink not in prev_arc:
+            if prev_arc[0] == -1:
                 return sent
-            x = self.sink
-            while x != source:
-                ai = prev_arc[x]
-                self.arcs[ai][3] += 1
-                self.arcs[ai ^ 1][3] -= 1
-                x = self.arcs[ai ^ 1][0]
-            sent += 1
-        return sent
+            self._augment(source, prev_arc)
+        return units
 
     def path_decomposition(self, source: int) -> list[list[int]]:
-        """Follow positive flows from the source; one node path per sink unit."""
-        succ: dict[int, list[int]] = {}
-        for u, arc_ids in self.out.items():
-            for ai in arc_ids:
-                to, _cap, _cost, flow = self.arcs[ai]
-                if flow > 0:
-                    succ.setdefault(u, []).append(to)
-        for lst in succ.values():
-            lst.sort()
+        """Follow positive flows from the source; one node-id path per sink unit."""
+        succ: list[list[int]] = [sorted(self.to[ai] for ai in arcs if self.flow[ai] > 0)
+                                 for arcs in self.out]
         paths = []
-        while succ.get(source):
+        while succ[source]:
             path = [source]
-            while path[-1] != self.sink:
-                here = path[-1]
-                nxt = succ[here].pop(0)
-                path.append(nxt)
-            paths.append(path[:-1])
+            while path[-1] != 0:
+                path.append(succ[path[-1]].pop(0))
+            paths.append([self.nodes[x] for x in path[:-1]])
         return paths
 
 
@@ -577,12 +648,13 @@ def star_route(edges: Sequence[Edge], values: Mapping[Edge, float],
     if center in users:
         raise RoutingError("centre node cannot be a user")
     costs = edge_cost_map(edges, values, secondary)
-    flow = _FlowNet(costs, users)
-    if center not in flow.out:
+    flow = _FlowNet(sorted(costs), users, costs)
+    if center not in flow.index:
         raise NoRouteError("centre has no usable edges")
-    if flow.send(center, len(users)) < len(users):
+    source = flow.index[center]
+    if flow.send(source, len(users)) < len(users):
         raise NoRouteError("no edge-disjoint path system to all users")
-    paths = flow.path_decomposition(center)
+    paths = flow.path_decomposition(source)
     branches = tuple(sorted(tuple(reversed(p)) for p in paths))
     solution_edges = tuple(sorted(canon(u, v) for p in paths for u, v in zip(p, p[1:])))
     return RoutingSolution(kind="star", edges=solution_edges,
@@ -592,48 +664,14 @@ def star_route(edges: Sequence[Edge], values: Mapping[Edge, float],
 def star_flow_feasible(edges: Sequence[Edge], users: Sequence[int], center: int) -> bool:
     """True if unit-capacity edge-disjoint paths reach every user from the centre.
 
-    Plain BFS augmentation on integer arcs; much cheaper than the min-cost
+    Plain BFS augmentation without costs; much cheaper than the min-cost
     pass, so callers use it to filter infeasible link-state snapshots.
     """
     users = sorted(set(int(u) for u in users))
-    sink = -1
-    arcs: list[list] = []
-    out: dict[int, list[int]] = {}
-
-    def add(u: int, v: int, cap: int) -> None:
-        out.setdefault(u, []).append(len(arcs))
-        arcs.append([v, cap])
-        out.setdefault(v, []).append(len(arcs))
-        arcs.append([u, 0])
-
-    for u, v in sorted(canon(*e) for e in edges):
-        add(u, v, 1)
-        add(v, u, 1)
-    for u in users:
-        add(u, sink, 1)
-    if center not in out:
+    flow = _FlowNet(sorted(canon(*e) for e in edges), users)
+    if center not in flow.index:
         return False
-    flow = 0
-    for _ in range(len(users)):
-        prev: dict[int, int] = {center: -2}
-        queue = deque([center])
-        while queue and sink not in prev:
-            x = queue.popleft()
-            for ai in out.get(x, ()):
-                to, cap = arcs[ai]
-                if cap > 0 and to not in prev:
-                    prev[to] = ai
-                    queue.append(to)
-        if sink not in prev:
-            return False
-        x = sink
-        while x != center:
-            ai = prev[x]
-            arcs[ai][1] -= 1
-            arcs[ai ^ 1][1] += 1
-            x = arcs[ai ^ 1][0]
-        flow += 1
-    return flow == len(users)
+    return flow.saturate(flow.index[center], len(users)) == len(users)
 
 
 def users_connected(edges: Sequence[Edge], users: Sequence[int]) -> bool:
@@ -704,10 +742,13 @@ def select_multipath(live_edges: Sequence[Edge], werner: Mapping[Edge, float],
                      center: int | None = None) -> RoutingSolution | None:
     """Best routing solution on the current link-state graph, or None.
 
-    Maximises the Werner product over the live links. Infeasibility (users
-    not connected, or no full star flow) is a normal outcome.
+    Maximises the Werner product over the live links; links of Werner
+    parameter 0 are unusable and dropped before any check. Infeasibility
+    (users not connected, or no full star flow) is a normal outcome.
     """
     users = sorted(set(int(u) for u in users))
+    if 0.0 in werner.values():
+        live_edges = [e for e in live_edges if werner[canon(*e)] != 0.0]
     if kind == "tree":
         if not users_connected(live_edges, users):
             return None

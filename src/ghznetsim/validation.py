@@ -19,12 +19,10 @@ from . import dense, engine, noise, routing, statesim, topology
 # ---------------------------------------------------------------------------
 # brute-force oracles
 
-def brute_force_steiner_product(edges, values, terminals) -> float:
-    """Best edge-value product over all trees spanning the terminals,
-    by enumerating every edge subset."""
+def _spanning_trees(edges, terminals):
+    """Every edge subset that is a tree containing all terminals."""
     edges = [routing.canon(*e) for e in edges]
     terminals = set(terminals)
-    best = 0.0
     for r in range(len(terminals) - 1, len(edges) + 1):
         for subset in itertools.combinations(edges, r):
             nodes = {n for e in subset for n in e}
@@ -47,14 +45,15 @@ def brute_force_steiner_product(edges, values, terminals) -> float:
                     acyclic = False
                     break
                 parent[ru] = rv
-            if not acyclic:
-                continue
-            if len({find(n) for n in nodes}) != 1:
-                continue
-            product = math.prod(values[e] for e in subset)
-            if product > best:
-                best = product
-    return best
+            if acyclic:
+                yield subset
+
+
+def brute_force_steiner_product(edges, values, terminals) -> float:
+    """Best edge-value product over all trees spanning the terminals,
+    by enumerating every edge subset."""
+    return max((math.prod(values[e] for e in subset)
+                for subset in _spanning_trees(edges, terminals)), default=0.0)
 
 
 def _simple_paths(adj, start, goal, max_len):
@@ -74,37 +73,29 @@ def _simple_paths(adj, start, goal, max_len):
     return out
 
 
-def brute_force_star_cost(edges, values, users, center) -> float | None:
-    """Minimum total -log(value) cost over all edge-disjoint path systems
-    from the centre to every user, or None if none exists."""
+def _path_systems(edges, users, center):
+    """Every edge-disjoint system of simple centre-user paths, as the
+    tuple of their edges."""
     adj: dict[int, list[int]] = {}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    per_user = []
-    for u in users:
-        paths = _simple_paths(adj, center, u, max_len=len(edges) + 1)
-        if not paths:
-            return None
-        per_user.append(paths)
-    best = None
+    per_user = [_simple_paths(adj, center, u, max_len=len(edges) + 1) for u in users]
     for combo in itertools.product(*per_user):
         used: set = set()
-        ok = True
         for path in combo:
-            for e in path:
-                if e in used:
-                    ok = False
-                    break
-                used.add(e)
-            if not ok:
+            if not used.isdisjoint(path):
                 break
-        if not ok:
-            continue
-        cost = -sum(math.log(values[e]) for path in combo for e in path)
-        if best is None or cost < best:
-            best = cost
-    return best
+            used.update(path)
+        else:
+            yield tuple(e for path in combo for e in path)
+
+
+def brute_force_star_cost(edges, values, users, center) -> float | None:
+    """Minimum total -log(value) cost over all edge-disjoint path systems
+    from the centre to every user, or None if none exists."""
+    return min((-sum(math.log(values[e]) for e in system)
+                for system in _path_systems(edges, users, center)), default=None)
 
 
 def random_tree_instance(rng, max_edges=7, max_users=4):
@@ -215,6 +206,64 @@ def suite_star_flow_oracle(n_graphs: int = 40, seed: int = 17, tol: float = 1e-9
     return True, f"{checked} instances match path-system enumeration"
 
 
+def _value_of_cost(cost: float) -> float:
+    """An edge value whose cost -log(value) is exactly ``cost``.
+
+    With dyadic costs every route cost is an exact float sum, so routes of
+    equal probability (or Werner product) tie exactly in any summation order.
+    """
+    value = math.exp(-cost)
+    for _ in range(8):
+        if -math.log(value) == cost:
+            return value
+        value = math.nextafter(value, 0.0 if -math.log(value) < cost else 1.0)
+    raise ValueError(f"no float value has cost exactly {cost}")
+
+
+def suite_lexicographic_oracle(n_graphs: int = 250, seed: int = 41):
+    """Two-objective routing against enumeration: the exact Steiner tree and
+    the star route with a secondary map must be lexicographic optima
+    (probability, then Werner product, then size) on small random graphs
+    whose edge values take two levels each, so ties are everywhere."""
+    rng = np.random.default_rng(seed)
+    p_levels = [_value_of_cost(c) for c in (0.5, 1.0)]
+    w_levels = [_value_of_cost(c) for c in (0.25, 0.75)]
+    checked = 0
+    for _ in range(n_graphs):
+        n = int(rng.integers(5, 8))
+        pairs = list(itertools.combinations(range(n), 2))
+        rng.shuffle(pairs)
+        edges = sorted(pairs[: int(rng.integers(n, 11))])
+        prob = {e: p_levels[int(rng.integers(0, 2))] for e in edges}
+        werner = {e: w_levels[int(rng.integers(0, 2))] for e in edges}
+        nodes = sorted({x for e in edges for x in e})
+        k = min(int(rng.integers(2, 5)), len(nodes) - 1)
+        users = sorted(int(x) for x in rng.choice(nodes, size=k, replace=False))
+        center = int(rng.choice([x for x in nodes if x not in users]))
+
+        def key(route):
+            return (-math.fsum(math.log(prob[e]) for e in route),
+                    -math.fsum(math.log(werner[e]) for e in route), len(route))
+
+        for name, want, solve in (
+                ("steiner", min(map(key, _spanning_trees(edges, users)), default=None),
+                 lambda: routing.exact_steiner_tree(edges, prob, users, secondary=werner)),
+                ("star", min(map(key, _path_systems(edges, users, center)), default=None),
+                 lambda: routing.star_route(edges, prob, users, center, secondary=werner))):
+            try:
+                sol = solve()
+            except routing.NoRouteError:
+                got = None
+            else:
+                sol.check(users)
+                got = key(sol.edges)
+            if got != want:
+                return False, (f"{name} optimum {got} vs enumerated {want} "
+                               f"(users {users}, centre {center}, edges {edges})")
+            checked += 1
+    return True, f"{checked} two-objective optima match enumeration"
+
+
 def suite_noise_identities(seed: int = 23, n_samples: int = 300):
     """Algebraic orderings of the noise layer on random inputs."""
     rng = np.random.default_rng(seed)
@@ -311,6 +360,7 @@ ALL_SUITES = (
     ("star-formula", suite_star_formula),
     ("steiner-oracle", suite_steiner_oracle),
     ("star-flow-oracle", suite_star_flow_oracle),
+    ("lexicographic-oracle", suite_lexicographic_oracle),
     ("noise-identities", suite_noise_identities),
     ("bound-gap", suite_bound_gap),
 )

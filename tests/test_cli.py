@@ -72,6 +72,12 @@ def test_bad_config_exits_2(tmp_path):
     assert run_cli("run", "--config", str(cfg)) == cli.EXIT_CONFIG
 
 
+def test_user_outside_graph_exits_2(tmp_path, capsys):
+    code = run_cli("run", "--users", "0,99", "--out", str(tmp_path / "x"))
+    assert code == cli.EXIT_CONFIG
+    assert "outside the node range" in capsys.readouterr().err
+
+
 def test_bad_protocol_exits_2(tmp_path):
     code = run_cli("run", "--protocol", "zz-t", "--Qc", "1", "--grid", "3",
                    "--users", "0,8", "--successes", "2",

@@ -210,6 +210,17 @@ def test_config_validation():
         SimConfig(graph=g, protocol="nope", delta=0.99, q_c=1, users=(0, 1))
     with pytest.raises(ConfigError):
         SimConfig(graph=g, protocol="sp-t", delta=0.99, q_c=1, users=(0,))
+    # out-of-range, negative and duplicate ids used to reach numpy indexing
+    # or silently simulate fewer users; too many users failed in sampling
+    grid = topology.make_grid(3, 0.3, 0.95)
+    for protocol in ("sp-t", "sp-s", "mp-t", "mp-s"):
+        for users in ((0, 99), (-1, 8), (0, 9), (0, 0, 8)):
+            with pytest.raises(ConfigError):
+                SimConfig(graph=grid, protocol=protocol, delta=0.99, q_c=3, users=users)
+        with pytest.raises(ConfigError):
+            SimConfig(graph=grid, protocol=protocol, delta=0.99, q_c=3, n_users=10)
+        SimConfig(graph=grid, protocol=protocol, delta=0.99, q_c=3, n_users=9)
+        SimConfig(graph=grid, protocol=protocol, delta=0.99, q_c=3, users=(0, 8))
 
 
 def test_trial_rng_streams_are_order_insensitive():

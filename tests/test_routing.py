@@ -1,10 +1,12 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ghznetsim import routing, topology
+from ghznetsim import routing, topology, validation
 from ghznetsim.routing import NoRouteError, RoutingError, UnsupportedSizeError
 from ghznetsim.validation import brute_force_star_cost, brute_force_steiner_product
 
@@ -180,6 +182,12 @@ def test_star_route_matches_enumeration():
             assert got == pytest.approx(want, rel=1e-9)
 
 
+def test_lexicographic_oracle_suite():
+    # probability, then Werner product, then size, against enumeration
+    ok, detail = validation.suite_lexicographic_oracle()
+    assert ok, detail
+
+
 def test_select_single_path_tree_uniform():
     g = topology.make_grid(6, 0.1, 0.987)
     users = [0, 7, 22, 35]
@@ -237,6 +245,26 @@ def test_select_multipath_star_uses_center():
     assert sol.center == 4
     assert sol.size == 8
     sol.check([0, 2, 6, 8])
+
+
+@pytest.mark.parametrize("protocol", ["mp-t", "mp-s"])
+def test_multipath_ignores_zero_werner_links(protocol):
+    # a w0 = 0 link is live but worthless; the connectivity prechecks used to
+    # count it, so mp-t raised NoRouteError from the Steiner search mid-run
+    from ghznetsim import engine
+
+    dead = (0, 1)
+    g = topology.make_grid(3, 0.4, 0.95)
+    g = topology.NetworkGraph(g.n_nodes, [(u, v, 0.4, 0.0 if (u, v) == dead else 0.95)
+                                          for u, v in g.edges])
+    users = (0, 2, 6, 8)
+    cfg = engine.SimConfig(graph=g, protocol=protocol, delta=0.99, q_c=4, users=users,
+                           target_successes=20, max_set_timeslots=20_000, seed=3)
+    metrics = engine.run_user_set(cfg, users, 0)
+    assert metrics.successes == 20
+    assert all(dead not in t.edges for t in metrics.trials if t.success)
+    assert routing.select_multipath([dead, (1, 2)], {dead: 0.0, (1, 2): 0.9},
+                                    [0, 2], "tree") is None
 
 
 def test_decompose_single_path():
@@ -315,3 +343,116 @@ def test_scaling_edge_values_keeps_route_among_equal_sizes():
     else:
         # scaling toward zero favours smaller routes, never larger ones
         assert sol2.size <= sol1.size
+
+
+# ---------------------------------------------------------------------------
+# golden tie-breaks: the exact routes chosen on heavily tied instances
+
+GOLDEN = Path(__file__).parent / "data" / "routing_golden.json"
+GOLDEN_INSTANCES = 200
+
+
+def _outcome(fn, *args, **kwargs):
+    """A call's route as JSON-ready data, or the name of the error it raised."""
+    try:
+        sol = fn(*args, **kwargs)
+    except RoutingError as exc:
+        return type(exc).__name__
+    if isinstance(sol, tuple):
+        return list(sol)
+    return {"edges": [list(e) for e in sol.edges],
+            "branches": [list(b) for b in sol.branches], "center": sol.center}
+
+
+def _golden_case(seed):
+    """Every routing entry point on one seeded grid snapshot with tied costs.
+
+    Odd seeds draw Werner parameters of links aged 0-2 slots; even seeds use
+    one uniform value, so only the secondary costs (two levels) and the hop
+    counts separate the candidate routes.
+    """
+    rng = np.random.default_rng([2024, seed])
+    m = int(rng.integers(3, 6))
+    g = topology.make_grid(m, 0.5, 0.9)
+    if seed % 2:
+        values = {e: 0.987 * 0.99 ** int(rng.integers(0, 3)) for e in g.edges}
+    else:
+        values = {e: 0.2 for e in g.edges}
+    secondary = {e: (0.987, 0.95)[int(rng.integers(0, 2))] for e in g.edges}
+    live = [e for e in g.edges if rng.random() < 0.85]
+    n = m * m
+    terminals = sorted(rng.choice(n, size=int(rng.integers(2, 6)), replace=False).tolist())
+    # a centre with enough live links to host one branch per terminal
+    degree = {x: sum(x in e for e in live) for x in range(n) if x not in terminals}
+    center = int(rng.choice([x for x, d in degree.items() if d >= len(terminals)]
+                            or sorted(degree)))
+    out = {
+        "steiner": _outcome(routing.exact_steiner_tree, live, values, terminals),
+        "steiner_secondary": _outcome(routing.exact_steiner_tree, live, values,
+                                      terminals, secondary=secondary),
+        "star": _outcome(routing.star_route, live, values, terminals, center),
+        "star_secondary": _outcome(routing.star_route, live, values, terminals,
+                                   center, secondary=secondary),
+        "path": _outcome(routing.max_product_path, live, values,
+                         terminals[0], terminals[-1]),
+        "approx": _outcome(routing.approx_steiner_tree, live, values, terminals),
+    }
+    if seed % 4 == 0:
+        planned = topology.NetworkGraph(n, [(u, v, values[(u, v)], secondary[(u, v)])
+                                            for u, v in g.edges])
+        out["single_tree"] = _outcome(routing.select_single_path, planned, terminals, "tree")
+        out["single_star"] = _outcome(routing.select_single_path, planned, terminals, "star")
+    return out
+
+
+def _fallback_case():
+    """A 6x6 snapshot with 7 terminals whose metric-closure paths overlap
+    into a cycle, so the approximation ends in the spanning-tree fallback
+    (found by searching seeded three-level snapshots)."""
+    rng = np.random.default_rng([13, 1782])
+    m = int(rng.integers(4, 7))
+    g = topology.make_grid(m, 0.5, 0.9)
+    levels = rng.uniform(0.3, 0.99, size=3)
+    values = {e: float(levels[int(rng.integers(0, 3))]) for e in g.edges}
+    live = [e for e in g.edges if rng.random() < 0.9]
+    terminals = sorted(rng.choice(m * m, size=int(rng.integers(7, 16)), replace=False).tolist())
+    return live, values, terminals
+
+
+def golden_outcomes():
+    cases = {str(seed): _golden_case(seed) for seed in range(GOLDEN_INSTANCES)}
+    cases["fallback"] = {"approx": _outcome(routing.approx_steiner_tree, *_fallback_case())}
+    return cases
+
+
+def test_golden_tie_breaks():
+    want = json.loads(GOLDEN.read_text())
+    got = json.loads(json.dumps(golden_outcomes()))
+    assert got.keys() == want.keys()
+    wrong = [(case, call) for case in want for call in want[case]
+             if got[case][call] != want[case][call]]
+    assert not wrong, f"{len(wrong)} routes differ from the recorded ones: {wrong[:5]}"
+    routed = [v for case in want.values() for v in case.values() if not isinstance(v, str)]
+    assert len(routed) > 1000
+
+
+def test_approx_steiner_spanning_fallback(monkeypatch):
+    calls = []
+    fallback = routing._spanning_fallback
+
+    def spy(*args):
+        calls.append(args)
+        return fallback(*args)
+
+    monkeypatch.setattr(routing, "_spanning_fallback", spy)
+    live, values, terminals = _fallback_case()
+    assert len(terminals) >= 7
+    sol = routing.approx_steiner_tree(live, values, terminals)
+    assert len(calls) == 1
+    sol.check(terminals)
+
+
+if __name__ == "__main__":
+    # records the fixture from whichever ghznetsim is importable
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(golden_outcomes(), separators=(",", ":"), sort_keys=True) + "\n")
