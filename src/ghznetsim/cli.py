@@ -119,6 +119,13 @@ def _merged_options(args: argparse.Namespace) -> SimpleNamespace:
     return SimpleNamespace(**merged)
 
 
+def _int_option(opts: SimpleNamespace, name: str, preset: int) -> int:
+    """An option's value, or the scale preset when it is not given; a given
+    0 is passed on, so the configuration check rejects it."""
+    value = getattr(opts, name, None)
+    return int(value if value is not None else preset)
+
+
 def build_spec(opts: SimpleNamespace, default_grid: str = "6",
                default_p: str = "0.1") -> SweepSpec:
     scale = SCALES[str(getattr(opts, "scale", "desk"))]
@@ -129,9 +136,9 @@ def build_spec(opts: SimpleNamespace, default_grid: str = "6",
         n_users = int(users_text.split(":", 1)[1])
     else:
         users = tuple(int(u) for u in users_text.split(",") if u.strip())
-    user_sets = int(getattr(opts, "user_sets", 0) or scale["user_sets"])
-    successes = int(getattr(opts, "successes", 0) or scale["target_successes"])
-    budget = int(getattr(opts, "max_timeslots", 0) or scale["max_set_timeslots"])
+    user_sets = _int_option(opts, "user_sets", scale["user_sets"])
+    successes = _int_option(opts, "successes", scale["target_successes"])
+    budget = _int_option(opts, "max_timeslots", scale["max_set_timeslots"])
     min_succ = getattr(opts, "min_successes", None)
     return SweepSpec(
         protocols=tuple(s.strip() for s in str(opts.protocol).split(",") if s.strip()),

@@ -60,6 +60,8 @@ class SimConfig:
             raise ConfigError(f"delta {self.delta} outside (0, 1]")
         if self.target_successes < 1:
             raise ConfigError("target_successes must be positive")
+        if self.user_sets < 1:
+            raise ConfigError("user_sets must be positive")
         if self.max_trial_timeslots < 1 or self.max_set_timeslots < 1:
             raise ConfigError("timeslot budgets must be positive")
         if self.users is not None and len(self.users) < 2:
@@ -252,7 +254,7 @@ class AggregateMetrics:
 def sample_user_sets(config: SimConfig) -> list[tuple[int, ...]]:
     """The experiment's user sets: explicit, or sampled from the root seed."""
     if config.users is not None:
-        return [tuple(sorted(int(u) for u in config.users))] * max(1, config.user_sets)
+        return [tuple(sorted(int(u) for u in config.users))] * config.user_sets
     seq = np.random.SeedSequence(config.seed, spawn_key=(1,))
     rng = np.random.Generator(np.random.PCG64(seq))
     sets = []
@@ -269,6 +271,8 @@ def _worker(args) -> SetMetrics:
 
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count for parallel user sets, capped by GHZNETSIM_THREADS."""
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers {workers} must be at least 1")
     cap = os.environ.get("GHZNETSIM_THREADS")
     cap = int(cap) if cap else (os.cpu_count() or 1)
     if workers is None:

@@ -701,6 +701,12 @@ def select_single_path(g: NetworkGraph, users: Sequence[int],
     Ties between equal-probability solutions are broken by the largest
     fresh-link Werner product; for stars the centre with the smallest id
     wins remaining ties.
+
+    A star's branches are paths from its centre to each user, so the sum of
+    the centre's shortest-path costs to the users bounds its primary cost
+    from below. Centres are tried in order of that bound, and the search
+    stops once the bound exceeds the best star's cost by more than float
+    drift, so no centre that could win or tie is skipped.
     """
     users = sorted(set(int(u) for u in users))
     g.require_connected()
@@ -712,16 +718,25 @@ def select_single_path(g: NetworkGraph, users: Sequence[int],
         return approx_steiner_tree(g.edges, p_map, users)
     if kind != "star":
         raise RoutingError(f"unknown routing kind {kind!r}")
+    net = _Net(edge_cost_map(g.edges, p_map, w_map))
+    bound = [0.0] * len(net.nodes)
+    for u in users:
+        if u not in net.index:
+            raise NoRouteError("no feasible star for any centre")
+        dist = net.dijkstra(net.index[u])[0]
+        bound = [b + d for b, d in zip(bound, dist)]
     best: tuple | None = None
     best_solution = None
-    for center in range(g.n_nodes):
+    for lower, center in sorted(zip(bound, net.nodes)):
         if center in users:
             continue
+        if best is not None and lower > best[0] + 1e-9 * max(1.0, best[0]):
+            break
         try:
             sol = star_route(g.edges, p_map, users, center, secondary=w_map)
         except NoRouteError:
             continue
-        cost = _solution_cost(sol, p_map, w_map)
+        cost = _solution_cost(sol, p_map, w_map) + (center,)
         if best is None or cost < best:
             best = cost
             best_solution = sol

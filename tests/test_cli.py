@@ -78,6 +78,27 @@ def test_user_outside_graph_exits_2(tmp_path, capsys):
     assert "outside the node range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--successes", "--max-timeslots", "--user-sets"])
+def test_zero_counts_exit_2(tmp_path, capsys, flag):
+    # a given 0 is an error, not "unset": it used to run the desk preset
+    base = ("run", "--protocol", "mp-t", "--Qc", "2", "--grid", "3", "--p", "0.4",
+            "--out", str(tmp_path / "x"))
+    assert run_cli(*base, flag, "0") == cli.EXIT_CONFIG
+    assert "must be positive" in capsys.readouterr().err
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(f"{flag[2:].replace('-', '_')} = 0\n")
+    assert run_cli(*base, "--config", str(cfg)) == cli.EXIT_CONFIG
+    assert "must be positive" in capsys.readouterr().err
+
+
+def test_zero_workers_exit_2(tmp_path, capsys):
+    code = run_cli("run", "--protocol", "mp-t", "--Qc", "2", "--grid", "3",
+                   "--users", "0,8", "--successes", "2", "--workers", "0",
+                   "--out", str(tmp_path / "x"))
+    assert code == cli.EXIT_CONFIG
+    assert "workers 0 must be at least 1" in capsys.readouterr().err
+
+
 def test_bad_protocol_exits_2(tmp_path):
     code = run_cli("run", "--protocol", "zz-t", "--Qc", "1", "--grid", "3",
                    "--users", "0,8", "--successes", "2",

@@ -210,6 +210,10 @@ def test_config_validation():
         SimConfig(graph=g, protocol="nope", delta=0.99, q_c=1, users=(0, 1))
     with pytest.raises(ConfigError):
         SimConfig(graph=g, protocol="sp-t", delta=0.99, q_c=1, users=(0,))
+    with pytest.raises(ConfigError):
+        SimConfig(graph=g, protocol="sp-t", delta=0.99, q_c=1, users=(0, 1), user_sets=0)
+    with pytest.raises(ConfigError):
+        engine.resolve_workers(0)
     # out-of-range, negative and duplicate ids used to reach numpy indexing
     # or silently simulate fewer users; too many users failed in sampling
     grid = topology.make_grid(3, 0.3, 0.95)

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -182,3 +185,182 @@ def test_depolarizing_oracle():
     assert np.trace(out) == pytest.approx(1.0, abs=1e-12)
     # depolarizing the ideal Bell state gives exactly the Werner state
     assert np.allclose(out, dense.werner_dm(0.7), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# swap, fusion and removal against plain reference formulations (a numpy
+# loop, np.add.at over freshly built index arrays): equal to the last bit
+
+def _flip_bit_ref(k, qubit):
+    return np.zeros_like(k) if qubit == 0 else (k >> (qubit - 1)) & 1
+
+
+def _fuse_ref(wa, wb, n1, n2, qubit_a, qubit_b):
+    ia, ib = np.arange(2 ** n1), np.arange(2 ** n2)
+    b_a, k_a = ia >> (n1 - 1), ia & ((1 << (n1 - 1)) - 1)
+    b_b, k_b = ib >> (n2 - 1), ib & ((1 << (n2 - 1)) - 1)
+    kept = [q for q in range(n2) if q != qubit_b]
+    k_b_kept = np.zeros_like(k_b)
+    for pos, q in enumerate(kept):
+        k_b_kept |= _flip_bit_ref(k_b, q) << pos
+    x = _flip_bit_ref(k_a, qubit_a)[:, None] ^ _flip_bit_ref(k_b, qubit_b)[None, :]
+    k_b_out = k_b_kept[None, :] ^ (x * ((1 << (n2 - 1)) - 1))
+    n_out = n1 + n2 - 1
+    idx = ((b_a[:, None] ^ b_b[None, :]) << (n_out - 1)) | (k_b_out << (n1 - 1)) | k_a[:, None]
+    out = np.zeros(2 ** n_out)
+    np.add.at(out, idx, wa[:, None] * wb[None, :])
+    return out
+
+
+def _remove_ref(w, n, qubit):
+    i = np.arange(2 ** n)
+    b, k = i >> (n - 1), i & ((1 << (n - 1)) - 1)
+    if qubit == 0:
+        k_out = (k ^ ((k & 1) * ((1 << (n - 1)) - 1))) >> 1
+    else:
+        pos = qubit - 1
+        k_out = (k & ((1 << pos) - 1)) | ((k >> (pos + 1)) << pos)
+    out = np.zeros(2 ** (n - 1))
+    np.add.at(out, (b << (n - 2)) | k_out, w)
+    return out
+
+
+def test_swap_matches_loop_reference():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        wa, wb = (rng.dirichlet(np.ones(4)) * (rng.random(4) < 0.8) for _ in range(2))
+        if wa.sum() == 0.0 or wb.sum() == 0.0:
+            continue
+        a = BellDiagonalState(wa / wa.sum())
+        b = BellDiagonalState(wb / wb.sum())
+        want = np.zeros(4)
+        for i in range(4):
+            for j in range(4):
+                want[i ^ j] += a.weights[i] * b.weights[j]
+        assert np.array_equal(swap(a, b).weights, want)
+
+
+def test_fuse_table_matches_add_at_reference():
+    rng = np.random.default_rng(31)
+    shapes = 0
+    for n1 in range(2, 7):
+        for n2 in range(2, 9 - n1):
+            a = GhzDiagonalState(n1, rng.dirichlet(np.ones(2 ** n1)))
+            b = GhzDiagonalState(n2, rng.dirichlet(np.ones(2 ** n2)))
+            for qa in range(n1):
+                for qb in range(n2):
+                    got = fuse(a, b, qa, qb).weights
+                    assert np.array_equal(got, _fuse_ref(a.weights, b.weights, n1, n2, qa, qb))
+                    shapes += 1
+    assert shapes == 155
+
+
+def test_remove_table_matches_add_at_reference():
+    rng = np.random.default_rng(37)
+    for n in range(3, 8):
+        g = GhzDiagonalState(n, rng.dirichlet(np.ones(2 ** n)))
+        for q in range(n):
+            assert np.array_equal(remove_qubit(g, q).weights, _remove_ref(g.weights, n, q))
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: every fidelity bit of the pipeline, recorded as float.hex
+
+GOLDEN = Path(__file__).parent / "data" / "statesim_golden.json"
+
+
+def _werner_values(rng, count, quantised):
+    """Link Werner parameters: engine-style ``0.987 * 0.99**age`` values, or
+    uniform draws with an occasional exact 0 or 1."""
+    if quantised:
+        return [0.987 * 0.99 ** int(rng.integers(0, 21)) for _ in range(count)]
+    return [float(rng.choice([0.0, 1.0])) if rng.random() < 0.05
+            else float(rng.uniform(0.0, 1.0)) for _ in range(count)]
+
+
+def _outcome(fn, *args):
+    """A call's fidelity as ``float.hex``, or the name of the error it raised."""
+    try:
+        return float(fn(*args)).hex()
+    except (StateError, noise.NoiseError) as exc:
+        return type(exc).__name__
+
+
+def _golden_tree(rng, quantised):
+    edges, _, users = random_tree_instance(rng, max_edges=10, max_users=6)
+    werner = dict(zip(edges, _werner_values(rng, len(edges), quantised)))
+    return _outcome(statesim.tree_ghz_fidelity, edges, werner, users)
+
+
+def _golden_bell(rng, quantised):
+    length = int(rng.integers(1, 8))
+    ws = _werner_values(rng, length, quantised)
+    a, b = sorted(rng.choice(50, size=2, replace=False).tolist())
+    return _outcome(statesim.pipeline_fidelity, [(a, b, ws)], [a, b], [])
+
+
+def _golden_star(rng, quantised):
+    """Branches from a centre to each user; the centre is measured out, and
+    sometimes also listed as a removal node that is a user (then kept)."""
+    k = int(rng.integers(2, 6))
+    nodes = rng.permutation(40)[:k + 1].tolist()
+    center, users = nodes[0], nodes[1:]
+    branches = [(center, u, _werner_values(rng, int(rng.integers(1, 4)), quantised))
+                for u in users]
+    if rng.random() < 0.5:
+        branches = [(u, center, ws) for center, u, ws in branches]
+    order = rng.permutation(k).tolist()
+    branches = [branches[i] for i in order]
+    return _outcome(statesim.pipeline_fidelity, branches, users, [center])
+
+
+def _golden_errors():
+    """Malformed structures: each must keep its error, or its odd result."""
+    w = [0.9]
+    cases = {
+        "no_branches": ([], [0, 1], []),
+        "empty_branch": ([(0, 1, [])], [0, 1], []),
+        "disconnected": ([(0, 1, w), (2, 3, w)], [0, 1, 2, 3], []),
+        "missing_user": ([(0, 1, w)], [0, 1, 2], []),
+        "extra_endpoint": ([(0, 1, w), (1, 2, w)], [0, 2], []),
+        "leaf_removal": ([(0, 1, w), (1, 2, w), (1, 3, w)], [0, 2], [1, 3]),
+        "bad_werner": ([(0, 1, [0.9, 1.5])], [0, 1], []),
+        "bad_werner_first": ([(0, 1, [1.5]), (1, 2, [])], [0, 2], [1]),
+        "cycle": ([(0, 1, w), (1, 2, w), (2, 0, w)], [0, 1, 2], []),
+        "self_loop": ([(0, 1, w), (1, 1, w)], [0, 1], []),
+        # a doubled link fuses a fragment with itself, then the chain 5-6-7
+        # is left as the whole structure
+        "self_fusion": ([(0, 1, w), (1, 0, [0.8]), (5, 6, w), (6, 7, [0.7])],
+                        [5, 7], [6]),
+    }
+    return {name: _outcome(statesim.pipeline_fidelity, *args)
+            for name, args in cases.items()}
+
+
+def golden_outcomes():
+    rng = np.random.default_rng(2024)
+    cases = {}
+    for i in range(300):
+        cases[f"tree{i}"] = _golden_tree(rng, quantised=i % 2 == 1)
+    for i in range(100):
+        cases[f"bell{i}"] = _golden_bell(rng, quantised=i % 2 == 1)
+    for i in range(100):
+        cases[f"star{i}"] = _golden_star(rng, quantised=i % 2 == 1)
+    cases.update(_golden_errors())
+    return cases
+
+
+def test_golden_fidelities_bit_exact():
+    want = json.loads(GOLDEN.read_text())
+    got = golden_outcomes()
+    assert got.keys() == want.keys()
+    wrong = [(case, got[case], want[case]) for case in want if got[case] != want[case]]
+    assert not wrong, f"{len(wrong)} outcomes differ from the recorded ones: {wrong[:5]}"
+    errors = [case for case, v in want.items() if not v.startswith(("0x", "-0x"))]
+    assert len(want) - len(errors) >= 500
+
+
+if __name__ == "__main__":
+    # records the fixture from whichever ghznetsim is importable
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(golden_outcomes(), indent=0, sort_keys=True) + "\n")
