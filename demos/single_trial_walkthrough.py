@@ -25,13 +25,13 @@ print(f"{'slot':>4}  {'live':>4}  {'ages':<26}  note")
 solution = None
 for t in range(1, 200):
     engine.step(links, state, rng)
-    live = links.live_edges()
+    n_live = int((links.ages >= 0).sum())
     ages = [int(a) for a in links.ages[links.ages >= 0]]
     solution = protocols.try_complete(state, links, delta)
     note = ""
     if solution is not None:
         note = f"feasible! tree of {solution.size} edges"
-    print(f"{t:>4}  {len(live):>4}  {str(ages):<26}  {note}")
+    print(f"{t:>4}  {n_live:>4}  {str(ages):<26}  {note}")
     if solution is not None:
         realized = protocols.realize_ghz(solution, links, delta, users)
         print(f"\nrealized GHZ state at slot {t}:")

@@ -1,50 +1,3 @@
 """Monte Carlo simulation of GHZ-state distribution over noisy quantum networks."""
 
-from .topology import NetworkGraph, UserSet, make_grid, steiner_distance, centroid_node
-from .noise import (
-    DecoherenceModel,
-    decohere,
-    ghz_fidelity_floor,
-    percolation_min_rounds,
-    route_success_product,
-    route_werner_product,
-    star_ghz_fidelity,
-    swap_chain,
-    werner_to_fidelity,
-)
-from .statesim import (
-    BellDiagonalState,
-    GhzDiagonalState,
-    fuse,
-    remove_qubit,
-    swap,
-    tree_ghz_fidelity,
-    werner_state,
-)
-from .dense import DepolarizingOracle, dense_oracle_fidelity
-from .routing import (
-    NoRouteError,
-    RoutingSolution,
-    approx_steiner_tree,
-    decompose_tree_branches,
-    exact_steiner_tree,
-    max_product_path,
-    select_multipath,
-    select_single_path,
-    star_route,
-)
-from .protocols import Protocol, ProtocolState, initialize, realize_ghz, try_complete
-from .engine import (
-    AggregateMetrics,
-    LinkState,
-    SimConfig,
-    TrialResult,
-    dr_confidence_interval,
-    run_experiment,
-    run_trial,
-    run_user_set,
-    step,
-)
-from .experiments import SweepSpec, run_sweep
-
 __version__ = "0.1.0"

@@ -207,14 +207,14 @@ def _cells_from_summary(path: Path) -> list:
 def cmd_pareto(opts: SimpleNamespace) -> int:
     out = Path(str(opts.out))
     summary_path = out / "summary.json"
-    if summary_path.exists():
-        cells = _cells_from_summary(summary_path)
-    else:
+    spec = build_spec(opts)
+    # an existing sweep is reused only if it was run for this very spec
+    if not summary_path.exists() or \
+            json.loads(summary_path.read_text()).get("spec") != _spec_dict(spec):
         code = cmd_run(opts)
         if code != EXIT_OK:
             return code
-        cells = _cells_from_summary(summary_path)
-    spec = build_spec(opts)
+    cells = _cells_from_summary(summary_path)
     p = spec.p_values[0]
     m = spec.grid_sizes[0]
     stats = experiments.comparison_stats(cells, p=p, m=m)
@@ -276,24 +276,7 @@ def cmd_distance(opts: SimpleNamespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    if getattr(args, "quick", False):
-        checks = (
-            ("state-oracle", lambda: validation.suite_state_oracle(n_trees=40)),
-            ("star-formula", lambda: validation.suite_star_formula(n_samples=25)),
-            ("steiner-oracle", validation.suite_steiner_oracle),
-            ("star-flow-oracle", lambda: validation.suite_star_flow_oracle(n_graphs=12)),
-            ("lexicographic-oracle", validation.suite_lexicographic_oracle),
-            ("noise-identities", validation.suite_noise_identities),
-            ("bound-gap", lambda: validation.suite_bound_gap(
-                qc_values=(1, 5, 13), n_sets=2, successes=10)),
-        )
-        ok = True
-        for name, fn in checks:
-            good, detail = fn()
-            ok &= good
-            print(f"[{'PASS' if good else 'FAIL'}] {name}: {detail}")
-    else:
-        ok = validation.run_all(verbose=True)
+    ok = validation.run_all(quick=args.quick)
     return EXIT_OK if ok else EXIT_VALIDATION
 
 

@@ -249,11 +249,5 @@ def dense_oracle_fidelity(edges: Sequence[tuple[int, int]],
         raise UnsupportedSizeError(
             f"{2 * len(edges)} qubits exceeds the dense oracle limit of {MAX_ORACLE_QUBITS}")
     branches, forks = routing.decompose_tree_branches(edges, users)
-    branch_specs = []
-    for path in branches:
-        werners = []
-        for u, v in zip(path, path[1:]):
-            key = (u, v) if (u, v) in edge_werner else (v, u)
-            werners.append(edge_werner[key])
-        branch_specs.append((path[0], path[-1], werners))
-    return pipeline_fidelity(branch_specs, list(users), forks)
+    return pipeline_fidelity(routing.branch_specs(branches, edge_werner),
+                             list(users), forks)

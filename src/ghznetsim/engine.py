@@ -94,19 +94,9 @@ class LinkState:
         self._p = np.asarray(graph.gen_prob)
         self._p_uniform = float(self._p[0]) if len(set(graph.gen_prob)) == 1 else None
 
-    def live_count(self) -> int:
-        return int((self.ages >= 0).sum())
-
-    def live_edges(self) -> list[tuple[int, int]]:
-        return [self.graph.edges[i] for i in np.nonzero(self.ages >= 0)[0]]
-
     def current_werner(self, delta: float, idx: np.ndarray) -> np.ndarray:
         """Decohered Werner parameters of the live links at ``idx``."""
         return self._w0[idx] * delta ** self.ages[idx]
-
-    def set_link(self, edge: tuple[int, int], age: int = 0) -> None:
-        """Place a link by hand (tests and demos)."""
-        self.ages[self.graph.edge_index[edge]] = age
 
 
 def step(links: LinkState, state: protocols.ProtocolState,
@@ -172,18 +162,20 @@ def run_trial(graph: NetworkGraph, state: protocols.ProtocolState, delta: float,
 
 @dataclass(frozen=True)
 class SetMetrics:
-    """Aggregated outcomes for one user set."""
+    """Aggregated outcomes for one user set; the defaults describe a set
+    that ran no trials ("infeasible" or "skipped")."""
 
     users: tuple[int, ...]
-    status: str                 # "ok" or "infeasible" (no static route exists)
-    successes: int
-    timeouts: int
-    total_timeslots: int
-    dr: float
-    dr_ci: tuple[float, float]
-    mean_fidelity: float
-    mean_r_size: float
-    mean_age: float
+    status: str                 # "ok", "infeasible" (no static route exists)
+                                # or "skipped" (early omit)
+    successes: int = 0
+    timeouts: int = 0
+    total_timeslots: int = 0
+    dr: float = 0.0
+    dr_ci: tuple[float, float] = (0.0, 0.0)
+    mean_fidelity: float = math.nan
+    mean_r_size: float = math.nan
+    mean_age: float = math.nan
     trials: tuple[TrialResult, ...] = field(repr=False, default=())
 
 
@@ -193,10 +185,7 @@ def run_user_set(config: SimConfig, users: tuple[int, ...], set_idx: int,
     try:
         state = protocols.initialize(config.protocol, config.graph, users)
     except NoRouteError:
-        return SetMetrics(users=users, status="infeasible", successes=0, timeouts=0,
-                          total_timeslots=0, dr=0.0, dr_ci=(0.0, 0.0),
-                          mean_fidelity=math.nan, mean_r_size=math.nan,
-                          mean_age=math.nan)
+        return SetMetrics(users=users, status="infeasible")
     consumed = 0
     trials: list[TrialResult] = []
     successes = 0
@@ -292,12 +281,8 @@ def run_experiment(config: SimConfig, workers: int | None = None,
     first = _worker(jobs[0])
     if config.early_omit and len(jobs) > 1 and \
             (first.successes == 0 or first.status == "infeasible"):
-        skipped = tuple(
-            SetMetrics(users=users, status="skipped", successes=0, timeouts=0,
-                       total_timeslots=0, dr=0.0, dr_ci=(0.0, 0.0),
-                       mean_fidelity=math.nan, mean_r_size=math.nan,
-                       mean_age=math.nan)
-            for _, users, _, _ in jobs[1:])
+        skipped = tuple(SetMetrics(users=users, status="skipped")
+                        for _, users, _, _ in jobs[1:])
         return aggregate(config, (first,) + skipped)
     rest = jobs[1:]
     n_workers = resolve_workers(workers)

@@ -282,7 +282,6 @@ def distance_experiment(spec: SweepSpec, fidelity_floor: float = 2.0 / 3.0,
     rows = []
     corner_spec = replace(spec, corners=True)
     for m in spec.grid_sizes:
-        corners = (0, m - 1, m * (m - 1), m * m - 1)
         dist = 3 * (m - 1)
         for protocol in spec.protocols:
             best: CellResult | None = None

@@ -10,12 +10,7 @@ their Werner parameters; storage for ``tau`` timeslots scales ``w`` by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
-
-# Product chains longer than this are evaluated through summed logarithms,
-# which keeps long route products accurate near the underflow edge.
-_LOG_PRODUCT_CUTOFF = 32
 
 
 class NoiseError(ValueError):
@@ -28,82 +23,15 @@ def check_werner(w: float) -> float:
     return float(w)
 
 
-def check_probability(p: float) -> float:
-    if not 0.0 <= p <= 1.0:
-        raise NoiseError(f"probability {p} outside [0, 1]")
-    return float(p)
-
-
 def check_fidelity(f: float) -> float:
     if not 0.0 <= f <= 1.0:
         raise NoiseError(f"fidelity {f} outside [0, 1]")
     return float(f)
 
 
-@dataclass(frozen=True)
-class DecoherenceModel:
-    """Per-timeslot memory decoherence: stored links decay as w * delta**tau."""
-
-    delta: float
-    slot_duration: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.delta <= 1.0:
-            raise NoiseError(f"delta {self.delta} outside (0, 1]")
-        if self.slot_duration <= 0.0:
-            raise NoiseError("slot duration must be positive")
-
-
 def werner_to_fidelity(w: float) -> float:
     """Bell fidelity of a Werner state, F = (3w + 1) / 4."""
     return (3.0 * check_werner(w) + 1.0) / 4.0
-
-
-def fidelity_to_werner(f: float) -> float:
-    """Inverse of :func:`werner_to_fidelity`; requires F >= 1/4."""
-    f = check_fidelity(f)
-    if f < 0.25:
-        raise NoiseError(f"fidelity {f} below 1/4 has no Werner parameter in [0, 1]")
-    return (4.0 * f - 1.0) / 3.0
-
-
-def decohere(w0: float, model: DecoherenceModel, tau: int) -> float:
-    """Werner parameter after ``tau`` timeslots of storage."""
-    w0 = check_werner(w0)
-    if tau < 0:
-        raise NoiseError(f"storage time {tau} is negative")
-    return w0 * model.delta ** tau
-
-
-def _product(values: Sequence[float], what: str) -> float:
-    if len(values) == 0:
-        raise NoiseError(f"empty {what} sequence")
-    if len(values) <= _LOG_PRODUCT_CUTOFF:
-        out = 1.0
-        for v in values:
-            out *= v
-        return out
-    if any(v == 0.0 for v in values):
-        return 0.0
-    return math.exp(math.fsum(math.log(v) for v in values))
-
-
-def swap_chain(ws: Sequence[float]) -> float:
-    """Werner parameter after swapping a chain of links: the plain product."""
-    return _product([check_werner(w) for w in ws], "Werner parameter")
-
-
-def route_werner_product(edge_ws: Sequence[float]) -> float:
-    """Product of Werner parameters over a routing solution.
-
-    Lower-bounds the fidelity of the GHZ state generated from those links.
-    """
-    return _product([check_werner(w) for w in edge_ws], "Werner parameter")
-
-
-def route_success_product(edge_ps: Sequence[float]) -> float:
-    """Probability that every edge of a route generates a link in one slot."""
-    return _product([check_probability(p) for p in edge_ps], "probability")
 
 
 def star_ghz_fidelity(branch_fidelities: Sequence[float]) -> float:
@@ -115,22 +43,10 @@ def star_ghz_fidelity(branch_fidelities: Sequence[float]) -> float:
     fs = [check_fidelity(f) for f in branch_fidelities]
     if len(fs) < 3:
         raise NoiseError("star fusion formula needs at least 3 branches")
-    t1 = _product([(4.0 * f - 1.0) / 3.0 for f in fs], "fidelity")
-    t2 = _product([2.0 * (1.0 - f) / 3.0 for f in fs], "fidelity")
-    t3 = _product([(1.0 + 2.0 * f) / 3.0 for f in fs], "fidelity")
+    t1 = math.prod([(4.0 * f - 1.0) / 3.0 for f in fs])
+    t2 = math.prod([2.0 * (1.0 - f) / 3.0 for f in fs])
+    t3 = math.prod([(1.0 + 2.0 * f) / 3.0 for f in fs])
     return 0.5 * (t1 + t2 + t3)
-
-
-def ghz_fidelity_floor(r_size: int, mean_age: float, w0: float, delta: float) -> float:
-    """Werner-product floor for a realized GHZ state: w0**|R| * delta**(age*|R|)."""
-    if r_size < 1:
-        raise NoiseError(f"route size {r_size} must be at least 1")
-    if mean_age < 0.0:
-        raise NoiseError(f"mean age {mean_age} is negative")
-    check_werner(w0)
-    if not 0.0 < delta <= 1.0:
-        raise NoiseError(f"delta {delta} outside (0, 1]")
-    return w0 ** r_size * delta ** (mean_age * r_size)
 
 
 def percolation_min_rounds(p: float, p_c: float) -> int:

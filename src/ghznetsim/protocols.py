@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import routing, statesim
+from .noise import werner_to_fidelity
 from .topology import NetworkGraph, TopologyError, centroid_node
 
 
@@ -128,7 +129,6 @@ class RealizedGhz:
     fidelity: float
     r_size: int
     mean_age: float
-    consumed: tuple[int, ...]            # edge indices
     werner_product: float                # product of link Werner parameters
     branch_fidelity_product: float       # product of per-branch Bell fidelities
     fidelity_floor: float                # w0^|R| * delta^(mean_age |R|) bound
@@ -150,12 +150,8 @@ def realize_ghz(solution: routing.RoutingSolution, links, delta: float,
              for e, i, a in zip(solution.edges, idx, ages)}
 
     users = sorted(set(int(u) for u in users))
-    branch_specs = []
-    prod_fb = 1.0
-    for path in solution.branches:
-        ws = [w_use[routing.canon(u, v)] for u, v in zip(path, path[1:])]
-        branch_specs.append((path[0], path[-1], ws))
-        prod_fb *= (3.0 * math.prod(ws) + 1.0) / 4.0
+    branch_specs = routing.branch_specs(solution.branches, w_use)
+    prod_fb = math.prod(werner_to_fidelity(math.prod(ws)) for _, _, ws in branch_specs)
     removal = set(solution.forks) - set(users)
     if solution.kind == "star":
         removal.add(solution.center)
@@ -167,6 +163,5 @@ def realize_ghz(solution: routing.RoutingSolution, links, delta: float,
     w0_prod = math.prod(float(graph.w0[i]) for i in idx)
     floor = w0_prod * delta ** (mean_age * r_size)
     return RealizedGhz(fidelity=fidelity, r_size=r_size, mean_age=mean_age,
-                       consumed=tuple(int(i) for i in idx),
                        werner_product=w_r, branch_fidelity_product=prod_fb,
                        fidelity_floor=floor)

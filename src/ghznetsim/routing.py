@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .topology import NetworkGraph
+from .topology import NetworkGraph, users_connected
 
 Edge = tuple[int, int]
 
@@ -182,28 +182,17 @@ class RoutingSolution:
                 seen.add(e)
         if seen != edge_set:
             raise RoutingError("branches do not cover the edge set")
-        adj: dict[int, set[int]] = {}
-        for u, v in self.edges:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        if not users <= set(adj):
+        degree = Counter(node for e in self.edges for node in e)
+        if not users <= degree.keys():
             raise RoutingError("solution does not span all users")
-        comp = {next(iter(sorted(adj)))}
-        stack = list(comp)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        if comp != set(adj):
+        if not users_connected(self.edges, degree):
             raise RoutingError("solution is not connected")
         if self.kind == "tree":
-            if len(self.edges) != len(adj) - 1:
+            if len(self.edges) != len(degree) - 1:
                 raise RoutingError("tree solution contains a cycle")
             for f in self.forks:
-                if len(adj[f]) < 3:
-                    raise RoutingError(f"fork {f} has degree {len(adj[f])}")
+                if degree[f] < 3:
+                    raise RoutingError(f"fork {f} has degree {degree[f]}")
             stops = users | set(self.forks)
             for path in self.branches:
                 for node in path[1:-1]:
@@ -246,16 +235,7 @@ def decompose_tree_branches(edges: Sequence[Edge],
         raise RoutingError("tree does not span the users")
     if len(edge_set) != len(nodes) - 1:
         raise RoutingError("edge set is not a tree")
-    start = next(iter(sorted(nodes)))
-    comp = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in comp:
-                comp.add(y)
-                stack.append(y)
-    if comp != nodes:
+    if not users_connected(edge_set, nodes):
         raise RoutingError("edge set is not connected")
     for node, nbrs in adj.items():
         if len(nbrs) == 1 and node not in users_set:
@@ -281,6 +261,16 @@ def decompose_tree_branches(edges: Sequence[Edge],
                 used.add(canon(here, nxt[0]))
             branches.append(tuple(path))
     return branches, forks
+
+
+def branch_specs(branches: Iterable[Sequence[int]], edge_werner: Mapping[Edge, float]
+                 ) -> list[tuple[int, int, list[float]]]:
+    """``(end, end, Werner values along the path)`` per branch node path, the
+    input of the GHZ pipelines; ``edge_werner`` may key an edge either way."""
+    return [(path[0], path[-1],
+             [edge_werner[(u, v) if (u, v) in edge_werner else (v, u)]
+              for u, v in zip(path, path[1:])])
+            for path in branches]
 
 
 def _tree_solution(edges: Iterable[Edge], users: Sequence[int]) -> RoutingSolution:
@@ -672,26 +662,6 @@ def star_flow_feasible(edges: Sequence[Edge], users: Sequence[int], center: int)
     if center not in flow.index:
         return False
     return flow.saturate(flow.index[center], len(users)) == len(users)
-
-
-def users_connected(edges: Sequence[Edge], users: Sequence[int]) -> bool:
-    """True if all users lie in one connected component of the edge set."""
-    users = [int(u) for u in users]
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if any(u not in adj for u in users):
-        return False
-    seen = {users[0]}
-    stack = [users[0]]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return all(u in seen for u in users)
 
 
 def select_single_path(g: NetworkGraph, users: Sequence[int],

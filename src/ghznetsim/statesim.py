@@ -321,11 +321,5 @@ def tree_ghz_fidelity(edges: Sequence[tuple[int, int]],
     from . import routing
 
     branches, forks = routing.decompose_tree_branches(edges, users)
-    branch_specs = []
-    for path in branches:
-        werners = []
-        for u, v in zip(path, path[1:]):
-            key = (u, v) if (u, v) in edge_werner else (v, u)
-            werners.append(edge_werner[key])
-        branch_specs.append((path[0], path[-1], werners))
-    return pipeline_fidelity(branch_specs, list(users), forks)
+    return pipeline_fidelity(routing.branch_specs(branches, edge_werner),
+                             list(users), forks)

@@ -1,4 +1,4 @@
-"""Static network topology: graphs, grids, user sets and hop-distance utilities.
+"""Static network topology: graphs, grids, connectivity and hop-distance utilities.
 
 Nodes are dense integers ``0..n-1``. Edges are unordered pairs ``(u, v)`` with
 ``u < v``, each carrying a Bell-state generation probability and an initial
@@ -70,24 +70,8 @@ class NetworkGraph:
         """Neighbours of ``v`` as (node, edge index) pairs, ascending by node."""
         return self.adj[v]
 
-    def edge_id(self, u: int, v: int) -> int:
-        return self.edge_index[_canon_edge(u, v)]
-
     def is_connected(self) -> bool:
-        if self.n_nodes == 1:
-            return True
-        seen = [False] * self.n_nodes
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            x = queue.popleft()
-            for y, _ in self.adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    count += 1
-                    queue.append(y)
-        return count == self.n_nodes
+        return self.n_nodes == 1 or users_connected(self.edges, range(self.n_nodes))
 
     def require_connected(self) -> None:
         if not self.is_connected():
@@ -127,31 +111,6 @@ class NetworkGraph:
         return f"NetworkGraph(n_nodes={self.n_nodes}, n_edges={self.n_edges})"
 
 
-class UserSet:
-    """Ordered set of at least two distinct nodes requesting a shared GHZ state."""
-
-    def __init__(self, users: Sequence[int], graph: NetworkGraph | None = None):
-        users = [int(u) for u in users]
-        if len(users) < 2:
-            raise TopologyError("user set needs at least two nodes")
-        if len(set(users)) != len(users):
-            raise TopologyError("duplicate users")
-        if graph is not None:
-            for u in users:
-                if not 0 <= u < graph.n_nodes:
-                    raise TopologyError(f"user {u} not in graph")
-        self.users: tuple[int, ...] = tuple(users)
-
-    def __len__(self) -> int:
-        return len(self.users)
-
-    def __iter__(self):
-        return iter(self.users)
-
-    def __repr__(self) -> str:
-        return f"UserSet({list(self.users)})"
-
-
 def make_grid(m: int, gen_prob: float, w0: float) -> NetworkGraph:
     """Build an M x M square lattice with uniform edge parameters.
 
@@ -171,6 +130,29 @@ def make_grid(m: int, gen_prob: float, w0: float) -> NetworkGraph:
     return NetworkGraph(m * m, edges)
 
 
+def users_connected(edges: Iterable[tuple[int, int]], users: Iterable[int]) -> bool:
+    """True if all users lie in one connected component of the edge set.
+
+    A user that no edge touches counts as disconnected.
+    """
+    users = [int(u) for u in users]
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    if any(u not in adj for u in users):
+        return False
+    seen = {users[0]}
+    stack = [users[0]]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return all(u in seen for u in users)
+
+
 def _check_users(g: NetworkGraph, users: Iterable[int]) -> tuple[int, ...]:
     out = tuple(int(u) for u in users)
     for u in out:
@@ -179,7 +161,7 @@ def _check_users(g: NetworkGraph, users: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-def steiner_distance(g: NetworkGraph, users: UserSet | Sequence[int]) -> int:
+def steiner_distance(g: NetworkGraph, users: Sequence[int]) -> int:
     """Edge count of a minimum Steiner tree connecting the users (unit weights)."""
     terminals = _check_users(g, users)
     if len(set(terminals)) < 2:
@@ -195,7 +177,7 @@ def steiner_distance(g: NetworkGraph, users: UserSet | Sequence[int]) -> int:
     return len(solution.edges)
 
 
-def centroid_node(g: NetworkGraph, users: UserSet | Sequence[int],
+def centroid_node(g: NetworkGraph, users: Sequence[int],
                   exclude: Iterable[int] = ()) -> int:
     """Node minimising total hop distance to the users.
 

@@ -138,7 +138,7 @@ def suite_star_formula(n_samples: int = 100, tol: float = 1e-12, seed: int = 7):
     for k in (3, 4):
         for _ in range(n_samples):
             ws = rng.uniform(0.0, 1.0, k)
-            closed = noise.star_ghz_fidelity([(3.0 * w + 1.0) / 4.0 for w in ws])
+            closed = noise.star_ghz_fidelity([noise.werner_to_fidelity(w) for w in ws])
             edges = [(0, j + 1) for j in range(k)]
             werner = {e: float(w) for e, w in zip(edges, ws)}
             f_dense = dense.dense_oracle_fidelity(edges, werner, list(range(1, k + 1)))
@@ -270,7 +270,7 @@ def suite_noise_identities(seed: int = 23, n_samples: int = 300):
     for _ in range(n_samples):
         k = int(rng.integers(3, 7))
         ws = rng.uniform(0.0, 1.0, k)
-        fbs = [(3.0 * w + 1.0) / 4.0 for w in ws]
+        fbs = [noise.werner_to_fidelity(w) for w in ws]
         prod_fb = math.prod(fbs)
         w_r = math.prod(ws)
         star = noise.star_ghz_fidelity(fbs)
@@ -355,23 +355,24 @@ def suite_bound_gap(seed: int = 31, qc_values=(1, 3, 5, 8, 13, 20),
                 f"{stats['mean_gap_werner_product'] * 100:.2f}%)")
 
 
+# (name, suite, keyword arguments of the quick pass)
 ALL_SUITES = (
-    ("state-oracle", suite_state_oracle),
-    ("star-formula", suite_star_formula),
-    ("steiner-oracle", suite_steiner_oracle),
-    ("star-flow-oracle", suite_star_flow_oracle),
-    ("lexicographic-oracle", suite_lexicographic_oracle),
-    ("noise-identities", suite_noise_identities),
-    ("bound-gap", suite_bound_gap),
+    ("state-oracle", suite_state_oracle, dict(n_trees=40)),
+    ("star-formula", suite_star_formula, dict(n_samples=25)),
+    ("steiner-oracle", suite_steiner_oracle, {}),
+    ("star-flow-oracle", suite_star_flow_oracle, dict(n_graphs=12)),
+    ("lexicographic-oracle", suite_lexicographic_oracle, {}),
+    ("noise-identities", suite_noise_identities, {}),
+    ("bound-gap", suite_bound_gap, dict(qc_values=(1, 5, 13), n_sets=2, successes=10)),
 )
 
 
-def run_all(verbose: bool = True) -> bool:
-    """Run every suite; prints one line per suite when verbose."""
+def run_all(quick: bool = False) -> bool:
+    """Run every suite, with smaller samples when quick; prints one line per
+    suite."""
     all_ok = True
-    for name, fn in ALL_SUITES:
-        ok, detail = fn()
+    for name, fn, quick_args in ALL_SUITES:
+        ok, detail = fn(**quick_args) if quick else fn()
         all_ok &= ok
-        if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return all_ok

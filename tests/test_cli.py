@@ -108,18 +108,34 @@ def test_bad_protocol_exits_2(tmp_path):
 
 def test_pareto_from_existing_sweep(tmp_path, capsys):
     out = tmp_path / "res"
-    assert run_cli("run", "--protocol", "mp-t,sp-t", "--Qc", "1,2,4", "--grid", "3",
-                   "--p", "0.5", "--users", "0,8", "--successes", "10",
-                   "--max-timeslots", "4000", "--seed", "6", "--out", str(out)) == 0
-    code = run_cli("pareto", "--protocol", "mp-t,sp-t", "--Qc", "1,2,4",
-                   "--grid", "3", "--p", "0.5", "--out", str(out))
+    sweep = ("--protocol", "mp-t,sp-t", "--Qc", "1,2,4", "--grid", "3",
+             "--p", "0.5", "--users", "0,8", "--successes", "10",
+             "--max-timeslots", "4000", "--seed", "6", "--out", str(out))
+    assert run_cli("run", *sweep) == 0
+    capsys.readouterr()
+    code = run_cli("pareto", *sweep)
     assert code == 0
+    assert "running sweep" not in capsys.readouterr().out
     assert (out / "pareto.svg").exists()
     assert (out / "pareto_points.csv").exists()
     stats = json.loads((out / "pareto_summary.json").read_text())
     assert "tree_speedup" in stats
     svg = (out / "pareto.svg").read_text()
     assert svg.startswith("<svg") and "</svg>" in svg
+
+
+def test_pareto_reruns_a_sweep_of_another_spec(tmp_path, capsys):
+    out = tmp_path / "res"
+    sweep = ("--grid", "3", "--Qc", "2,4", "--user-sets", "1", "--successes", "5",
+             "--protocol", "mp-t,sp-t", "--out", str(out))
+    assert run_cli("run", *sweep, "--p", "0.5") == 0
+    capsys.readouterr()
+    # the stored summary is for p=0.5, so a p=0.3 analysis must run its own sweep
+    assert run_cli("pareto", *sweep, "--p", "0.3") == 0
+    printed = capsys.readouterr().out
+    assert "running sweep" in printed and "tree_speedup" in printed
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["spec"]["p_values"] == [0.3]
 
 
 def test_distance_command(tmp_path):

@@ -20,7 +20,7 @@ def test_step_generates_everywhere_at_p1():
     state = protocols.initialize("mp-t", g, (0, 8))
     links = LinkState(g, q_c=4)
     engine.step(links, state, make_rng())
-    assert links.live_count() == g.n_edges
+    assert (links.ages >= 0).sum() == g.n_edges
     assert (links.ages == 0).all()
 
 
@@ -40,7 +40,7 @@ def test_step_occupied_edges_draw_nothing():
     g = single_edge_graph(p=0.5)
     state = protocols.initialize("sp-t", g, (0, 1))
     links = LinkState(g, q_c=10)
-    links.set_link((0, 1), age=0)
+    links.ages[g.edge_index[(0, 1)]] = 0
     rng = make_rng(2)
     before = rng.bit_generator.state["state"]["state"]
     engine.step(links, state, rng)
@@ -53,7 +53,7 @@ def test_step_aging_and_cutoff():
     g = single_edge_graph(p=1e-12)
     state = protocols.initialize("sp-t", g, (0, 1))
     links = LinkState(g, q_c=3)
-    links.set_link((0, 1), age=0)
+    links.ages[g.edge_index[(0, 1)]] = 0
     ages = []
     for _ in range(4):
         engine.step(links, state, make_rng())

@@ -3,19 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from ghznetsim import noise
-from ghznetsim.noise import DecoherenceModel, NoiseError
+from ghznetsim import noise, protocols, routing, statesim
+from ghznetsim.engine import ConfigError, LinkState, SimConfig
+from ghznetsim.noise import NoiseError
+from ghznetsim.topology import NetworkGraph
 
 
 def test_werner_to_fidelity():
     assert noise.werner_to_fidelity(1.0) == 1.0
     assert noise.werner_to_fidelity(0.0) == 0.25
     assert noise.werner_to_fidelity(0.987) == pytest.approx(0.99, abs=1e-3)
-
-
-def test_fidelity_to_werner_round_trip():
-    for w in (0.0, 0.25, 0.5, 0.987, 1.0):
-        assert noise.fidelity_to_werner(noise.werner_to_fidelity(w)) == pytest.approx(w)
 
 
 def test_werner_range_enforced():
@@ -25,55 +22,68 @@ def test_werner_range_enforced():
         noise.werner_to_fidelity(-0.2)
 
 
+def path_links(w0s, ages):
+    """A path graph 0-1-...-n with one live link per edge at the given ages."""
+    g = NetworkGraph(len(w0s) + 1, [(i, i + 1, 0.5, w) for i, w in enumerate(w0s)])
+    links = LinkState(g, q_c=100)
+    links.ages[:] = ages
+    return links
+
+
+def realize_path(w0s, ages, delta):
+    """Realize the GHZ (Bell) state between the ends of a fully live path."""
+    links = path_links(w0s, ages)
+    g = links.graph
+    route = routing.exact_steiner_tree(g.edges, {e: 0.5 for e in g.edges},
+                                       [0, g.n_nodes - 1])
+    return protocols.realize_ghz(route, links, delta, [0, g.n_nodes - 1])
+
+
 def test_decohere():
-    model = DecoherenceModel(delta=0.99)
-    assert noise.decohere(0.9, model, 0) == 0.9
-    assert noise.decohere(0.987, model, 2) == pytest.approx(0.96736, abs=1e-5)
-    assert noise.decohere(0.7, DecoherenceModel(delta=1.0), 57) == 0.7
+    def werner(w0, delta, age):
+        return float(path_links([w0], [age]).current_werner(delta, np.array([0]))[0])
+
+    assert werner(0.9, 0.99, 0) == 0.9
+    assert werner(0.987, 0.99, 2) == pytest.approx(0.96736, abs=1e-5)
+    assert werner(0.7, 1.0, 57) == 0.7
 
 
 def test_decohere_monotone_in_tau():
-    model = DecoherenceModel(delta=0.97)
-    values = [noise.decohere(0.9, model, tau) for tau in range(20)]
+    links = path_links([0.9] * 20, range(20))
+    values = links.current_werner(0.97, np.arange(20))
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+def chain_fidelity(ws):
+    """Bell fidelity after swapping a chain of links with Werner values ws."""
+    return statesim.pipeline_fidelity([(0, len(ws), ws)], [0, len(ws)], [])
+
+
 def test_swap_chain():
-    assert noise.swap_chain([1.0, 1.0, 1.0]) == 1.0
-    assert noise.swap_chain([0.9, 0.8]) == pytest.approx(0.72)
-    assert noise.swap_chain([0.37]) == 0.37
-    with pytest.raises(NoiseError):
-        noise.swap_chain([])
+    assert chain_fidelity([1.0, 1.0, 1.0]) == 1.0
+    assert chain_fidelity([0.9, 0.8]) == pytest.approx(noise.werner_to_fidelity(0.72))
+    assert chain_fidelity([0.37]) == pytest.approx(noise.werner_to_fidelity(0.37))
+    with pytest.raises(statesim.StateError):
+        chain_fidelity([])
 
 
 def test_swap_chain_permutation_invariant():
     rng = np.random.default_rng(4)
     ws = list(rng.uniform(0, 1, 6))
-    base = noise.swap_chain(ws)
+    base = chain_fidelity(ws)
     for _ in range(10):
         rng.shuffle(ws)
-        assert noise.swap_chain(ws) == pytest.approx(base, rel=1e-12)
+        assert chain_fidelity(ws) == pytest.approx(base, rel=1e-12)
 
 
 def test_route_werner_product():
-    assert noise.route_werner_product([1.0] * 7) == 1.0
-    assert noise.route_werner_product([0.987] * 5) == pytest.approx(0.9367, abs=1e-4)
-    assert noise.route_werner_product([0.9, 0.0, 0.8]) == 0.0
-
-
-def test_long_product_log_path():
-    ws = [0.987] * 40
-    assert noise.route_werner_product(ws) == pytest.approx(0.987 ** 40, rel=1e-10)
-    ps = [0.1] * 40
-    assert noise.route_success_product(ps) == pytest.approx(1e-40, rel=1e-9)
-
-
-def test_route_success_product():
-    assert noise.route_success_product([1.0] * 3) == 1.0
-    assert noise.route_success_product([0.1] * 9) == pytest.approx(1e-9, rel=1e-12)
-    assert noise.route_success_product([0.5, 0.2]) == pytest.approx(0.1)
-    with pytest.raises(NoiseError):
-        noise.route_success_product([])
+    assert realize_path([1.0] * 7, [0] * 7, 0.99).werner_product == 1.0
+    assert realize_path([0.987] * 5, [0] * 5, 0.99).werner_product == \
+        pytest.approx(0.9367, abs=1e-4)
+    assert realize_path([0.9, 0.0, 0.8], [0] * 3, 0.99).werner_product == 0.0
+    # a long route keeps its product accurate
+    assert realize_path([0.987] * 40, [0] * 40, 1.0).werner_product == \
+        pytest.approx(0.987 ** 40, rel=1e-10)
 
 
 def test_star_ghz_fidelity_values():
@@ -104,16 +114,18 @@ def test_products_monotone_under_elementwise_decrease():
     rng = np.random.default_rng(8)
     for _ in range(50):
         ws = rng.uniform(0.1, 1.0, 5)
-        base = noise.route_werner_product(list(ws))
+        base = chain_fidelity(list(ws))
         ws2 = ws.copy()
         ws2[int(rng.integers(0, 5))] *= 0.9
-        assert noise.route_werner_product(list(ws2)) <= base
+        assert chain_fidelity(list(ws2)) <= base
 
 
 def test_ghz_fidelity_floor():
-    assert noise.ghz_fidelity_floor(1, 0.0, 0.9, 0.99) == pytest.approx(0.9)
-    assert noise.ghz_fidelity_floor(5, 2.0, 0.987, 0.99) == pytest.approx(0.8471, abs=1e-3)
-    assert noise.ghz_fidelity_floor(7, 3.5, 0.9, 1.0) == pytest.approx(0.9 ** 7)
+    assert realize_path([0.9], [0], 0.99).fidelity_floor == pytest.approx(0.9)
+    assert realize_path([0.987] * 5, [0, 1, 2, 3, 4], 0.99).fidelity_floor == \
+        pytest.approx(0.8471, abs=1e-3)
+    assert realize_path([0.9] * 7, [3, 4, 3, 4, 3, 4, 3], 1.0).fidelity_floor == \
+        pytest.approx(0.9 ** 7)
 
 
 def test_percolation_min_rounds():
@@ -141,7 +153,7 @@ def test_percolation_rejects_degenerate_p():
 
 
 def test_decoherence_model_validation():
-    with pytest.raises(NoiseError):
-        DecoherenceModel(delta=0.0)
-    with pytest.raises(NoiseError):
-        DecoherenceModel(delta=1.2)
+    g = NetworkGraph(2, [(0, 1, 0.5, 0.9)])
+    for delta in (0.0, 1.2):
+        with pytest.raises(ConfigError):
+            SimConfig(graph=g, protocol="sp-t", delta=delta, q_c=1, users=(0, 1))

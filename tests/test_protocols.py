@@ -10,7 +10,7 @@ from ghznetsim.protocols import Protocol
 
 def place(links, *edges, age=0):
     for e in edges:
-        links.set_link(e, age)
+        links.ages[links.graph.edge_index[e]] = age
 
 
 def test_initialize_sp_t_plans_min_steiner():
@@ -98,7 +98,7 @@ def test_mp_solutions_only_use_live_edges():
             links.ages[i] = int(rng.integers(0, 5))
         sol = protocols.try_complete(state, links, 0.99)
         if sol is not None:
-            live = set(links.live_edges())
+            live = {g.edges[i] for i in np.nonzero(links.ages >= 0)[0]}
             assert set(sol.edges) <= live
 
 
@@ -146,7 +146,7 @@ def test_realize_star_matches_closed_form():
     links = LinkState(g, q_c=5)
     ages = {e: a for e, a in zip(sol.edges, (0, 1, 2, 3))}
     for e, a in ages.items():
-        links.set_link(e, a)
+        links.ages[g.edge_index[e]] = a
     delta = 0.97
     realized = protocols.realize_ghz(sol, links, delta, users)
     fbs = [noise.werner_to_fidelity(0.9 * delta ** ages[e]) for e in sol.edges]

@@ -302,6 +302,21 @@ def test_decompose_rejects_cycle():
         routing.decompose_tree_branches([(0, 1), (1, 2), (0, 2)], [0, 2])
 
 
+def test_decompose_rejects_forest():
+    # a triangle plus a separate edge has |E| = |V| - 1 but is no tree
+    forest = [(0, 1), (1, 2), (0, 2), (3, 4)]
+    for users in ([3, 4], [0, 3]):
+        with pytest.raises(RoutingError, match="not connected"):
+            routing.decompose_tree_branches(forest, users)
+
+
+def test_check_rejects_disconnected_solution():
+    sol = routing.RoutingSolution(kind="tree", edges=((0, 1), (2, 3)),
+                                  branches=((0, 1), (2, 3)))
+    with pytest.raises(RoutingError, match="not connected"):
+        sol.check([0, 3])
+
+
 def test_flow_tolerates_equal_cost_cycles():
     # near-equal path costs used to fabricate epsilon-negative residual
     # cycles and spin the flow search forever (units with uniform and with

@@ -1,9 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ghznetsim import topology
-from ghznetsim.topology import NetworkGraph, TopologyError, UserSet, make_grid
+from ghznetsim import engine, routing, topology
+from ghznetsim.topology import NetworkGraph, TopologyError, make_grid, users_connected
 
 
 def test_grid_counts_table_defaults():
@@ -61,13 +62,72 @@ def test_json_round_trip():
 
 def test_user_set_validation():
     g = make_grid(3, 0.5, 0.9)
+
+    def config(users):
+        return engine.SimConfig(graph=g, protocol="mp-t", delta=0.99, q_c=2, users=users)
+
+    for bad in ((4,), (1, 1), (0, 99)):
+        with pytest.raises(engine.ConfigError):
+            config(bad)
+    assert config((3, 1)).users == (3, 1)
     with pytest.raises(TopologyError):
-        UserSet([4], g)
+        topology.steiner_distance(g, [0, 99])
+
+
+def test_disconnected_graph():
+    g = NetworkGraph(5, [(0, 1, 0.5, 0.9), (1, 2, 0.5, 0.9), (3, 4, 0.5, 0.9)])
+    assert not g.is_connected()
     with pytest.raises(TopologyError):
-        UserSet([1, 1], g)
-    with pytest.raises(TopologyError):
-        UserSet([0, 99], g)
-    assert list(UserSet([3, 1], g)) == [3, 1]
+        g.require_connected()
+    # an isolated node disconnects a graph whose edges are all joined
+    assert not NetworkGraph(3, [(0, 1, 0.5, 0.9)]).is_connected()
+
+
+def test_one_node_graph_is_connected():
+    g = NetworkGraph(1, [])
+    assert g.is_connected()
+    assert topology.centroid_node(g, [0]) == 0
+
+
+def test_users_connected_cases():
+    edges = [(0, 1), (1, 2), (3, 4)]
+    assert users_connected(edges, [0, 2])
+    assert not users_connected(edges, [0, 3])
+    assert not users_connected(edges, [0, 5])   # a user no edge touches
+    assert not users_connected([], [0, 1])
+    # routing calls the same routine, under the name a tracer can wrap
+    assert routing.users_connected is users_connected
+
+
+def union_find_connected(n, edges, users):
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    touched = {x for e in edges for x in e}
+    return all(u in touched for u in users) and len({find(u) for u in users}) == 1
+
+
+@st.composite
+def edge_sets(draw):
+    n = draw(st.integers(2, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    users = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return n, sorted(edges), users
+
+
+@settings(max_examples=300)
+@given(edge_sets())
+def test_users_connected_matches_union_find(case):
+    n, edges, users = case
+    want = union_find_connected(n, edges, users)
+    assert users_connected(edges, users) == want
 
 
 def test_steiner_distance_corners():
