@@ -1,9 +1,10 @@
-"""How a tree of noisy links becomes a GHZ state, two independent ways.
+"""How a tree of noisy links becomes a GHZ state, three independent ways.
 
-The diagonal simulator tracks mixture weights in the GHZ basis; the dense
-oracle multiplies out explicit density matrices. They must agree to machine
-precision, and on star-shaped trees both must match the closed-form fusion
-fidelity.
+The engine's closed form sums independent per-branch Pauli errors in one
+pass over the branch tree; the diagonal simulator tracks mixture weights in
+the GHZ basis; the dense oracle multiplies out explicit density matrices.
+They must agree to machine precision, and on star-shaped trees they must
+match the closed-form star fusion fidelity.
 
 Run:  python demos/state_pipeline.py
 """
@@ -32,6 +33,11 @@ users = [0, 1, 2, 3]
 werner = {e: float(w) for e, w in zip(edges, rng.uniform(0.85, 1.0, len(edges)))}
 f_diag = statesim.tree_ghz_fidelity(edges, werner, users)
 f_dense = dense.dense_oracle_fidelity(edges, werner, users)
+# branches run between users and forks; each swaps into its Werner product
+paths = [(0, 4), (1, 4), (4, 6, 7, 5), (5, 2), (5, 3)]
+f_closed = noise.werner_tree_fidelity(
+    [(p[0], p[-1], math.prod(werner[e] for e in zip(p, p[1:]))) for p in paths], users)
+print(f"  closed form:        {f_closed:.12f}")
 print(f"  diagonal simulator: {f_diag:.12f}")
 print(f"  dense oracle:       {f_dense:.12f}")
 print(f"  |difference|:       {abs(f_diag - f_dense):.2e}")

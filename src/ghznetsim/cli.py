@@ -119,11 +119,11 @@ def _merged_options(args: argparse.Namespace) -> SimpleNamespace:
     return SimpleNamespace(**merged)
 
 
-def _int_option(opts: SimpleNamespace, name: str, preset: int) -> int:
-    """An option's value, or the scale preset when it is not given; a given
-    0 is passed on, so the configuration check rejects it."""
+def _option(opts: SimpleNamespace, name: str, default):
+    """An option's value, or ``default`` when it is not given; a given 0 or
+    empty list is passed on, so the configuration check rejects it."""
     value = getattr(opts, name, None)
-    return int(value if value is not None else preset)
+    return default if value is None else value
 
 
 def build_spec(opts: SimpleNamespace, default_grid: str = "6",
@@ -136,15 +136,15 @@ def build_spec(opts: SimpleNamespace, default_grid: str = "6",
         n_users = int(users_text.split(":", 1)[1])
     else:
         users = tuple(int(u) for u in users_text.split(",") if u.strip())
-    user_sets = _int_option(opts, "user_sets", scale["user_sets"])
-    successes = _int_option(opts, "successes", scale["target_successes"])
-    budget = _int_option(opts, "max_timeslots", scale["max_set_timeslots"])
+    user_sets = int(_option(opts, "user_sets", scale["user_sets"]))
+    successes = int(_option(opts, "successes", scale["target_successes"]))
+    budget = int(_option(opts, "max_timeslots", scale["max_set_timeslots"]))
     min_succ = getattr(opts, "min_successes", None)
     return SweepSpec(
         protocols=tuple(s.strip() for s in str(opts.protocol).split(",") if s.strip()),
         qc_values=parse_int_list(str(opts.qc)),
-        p_values=parse_float_list(str(getattr(opts, "p", None) or default_p)),
-        grid_sizes=parse_int_list(str(getattr(opts, "grid", None) or default_grid)),
+        p_values=parse_float_list(str(_option(opts, "p", default_p))),
+        grid_sizes=parse_int_list(str(_option(opts, "grid", default_grid))),
         w0=float(opts.w0), delta=float(opts.delta),
         users=users, n_users=n_users, user_sets=user_sets,
         target_successes=successes, max_set_timeslots=budget,
@@ -208,12 +208,13 @@ def cmd_pareto(opts: SimpleNamespace) -> int:
     out = Path(str(opts.out))
     summary_path = out / "summary.json"
     spec = build_spec(opts)
-    # an existing sweep is reused only if it was run for this very spec
-    if not summary_path.exists() or \
-            json.loads(summary_path.read_text()).get("spec") != _spec_dict(spec):
-        code = cmd_run(opts)
-        if code != EXIT_OK:
-            return code
+    # an existing sweep is reused only if it was run for this very spec, and
+    # never overwritten by a sweep of another one
+    if not summary_path.exists():
+        cmd_run(opts)
+    elif json.loads(summary_path.read_text()).get("spec") != _spec_dict(spec):
+        raise CliError(f"{summary_path} holds a sweep of another spec; "
+                       "choose another --out")
     cells = _cells_from_summary(summary_path)
     p = spec.p_values[0]
     m = spec.grid_sizes[0]

@@ -11,7 +11,6 @@ Qubit 0 is the most significant bit of the computational-basis index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,30 +42,6 @@ def werner_dm(w: float) -> np.ndarray:
     """Two-qubit Werner density matrix with parameter ``w``."""
     w = check_werner(w)
     return w * np.outer(_PHI_P, _PHI_P) + (1.0 - w) / 4.0 * np.eye(4)
-
-
-@dataclass(frozen=True)
-class DepolarizingOracle:
-    """N-qubit depolarizing channel: keep with probability p_n, else mix fully."""
-
-    p_n: float
-    n_qubits: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_n <= 1.0:
-            raise ValueError(f"p_n {self.p_n} outside [0, 1]")
-        if self.n_qubits < 1:
-            raise ValueError("need at least one qubit")
-
-    @property
-    def dimension(self) -> int:
-        return 2 ** self.n_qubits
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        d = self.dimension
-        if rho.shape != (d, d):
-            raise ValueError(f"expected a {d}x{d} density matrix")
-        return self.p_n * rho + (1.0 - self.p_n) / d * np.eye(d) * np.trace(rho)
 
 
 def _bit(x: int, qubit: int, n: int) -> int:

@@ -44,14 +44,9 @@ class SimConfig:
     n_users: int = 4
     user_sets: int = 1
     target_successes: int = 100
-    max_trial_timeslots: int = 100_000
     max_set_timeslots: int = 100_000
     min_total_successes: int | None = None
     seed: int = 0
-    # a first user set with zero successes already dooms the datapoint under
-    # the omission rule, so later sets can be skipped without changing any
-    # reported (valid) result; disable to force every set to run
-    early_omit: bool = True
 
     def __post_init__(self):
         if self.q_c < 1:
@@ -62,8 +57,8 @@ class SimConfig:
             raise ConfigError("target_successes must be positive")
         if self.user_sets < 1:
             raise ConfigError("user_sets must be positive")
-        if self.max_trial_timeslots < 1 or self.max_set_timeslots < 1:
-            raise ConfigError("timeslot budgets must be positive")
+        if self.max_set_timeslots < 1:
+            raise ConfigError("timeslot budget must be positive")
         if self.users is not None and len(self.users) < 2:
             raise ConfigError("need at least two users")
         if self.users is None and self.n_users < 2:
@@ -195,7 +190,7 @@ def run_user_set(config: SimConfig, users: tuple[int, ...], set_idx: int,
     age_sum = 0.0
     trial_idx = 0
     while successes < config.target_successes and consumed < config.max_set_timeslots:
-        cap = min(config.max_trial_timeslots, config.max_set_timeslots - consumed)
+        cap = config.max_set_timeslots - consumed
         seq = np.random.SeedSequence(config.seed, spawn_key=(0, set_idx, trial_idx))
         rng = np.random.Generator(np.random.PCG64(seq))
         result = run_trial(config.graph, state, config.delta, config.q_c, cap, rng)
@@ -273,14 +268,15 @@ def run_experiment(config: SimConfig, workers: int | None = None,
                    keep_trials: bool = True) -> AggregateMetrics:
     """Run every user set and pool the results (merged in index order).
 
-    The first user set always runs alone so the early-omit decision is
+    A first user set with zero successes already dooms the datapoint under
+    the omission rule, so the later sets are then skipped without changing
+    any valid result. The first set always runs alone, so this decision is
     identical whether or not the remaining sets run in parallel.
     """
     user_sets = sample_user_sets(config)
     jobs = [(config, users, i, keep_trials) for i, users in enumerate(user_sets)]
     first = _worker(jobs[0])
-    if config.early_omit and len(jobs) > 1 and \
-            (first.successes == 0 or first.status == "infeasible"):
+    if len(jobs) > 1 and (first.successes == 0 or first.status == "infeasible"):
         skipped = tuple(SetMetrics(users=users, status="skipped")
                         for _, users, _, _ in jobs[1:])
         return aggregate(config, (first,) + skipped)

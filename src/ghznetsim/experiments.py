@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import engine, topology
-from .engine import AggregateMetrics, SimConfig
+from .engine import AggregateMetrics, ConfigError, SimConfig
 
 CSV_HEADER = ("protocol,p,Qc,M,user_set,dr,dr_lo,dr_hi,mean_fidelity,"
               "mean_r_size,mean_age,successes,timeouts")
@@ -46,13 +46,16 @@ class SweepSpec:
     delta: float = 0.99
     users: tuple[int, ...] | None = None     # explicit set; None samples
     n_users: int = 4
-    corners: bool = False                    # users at the grid corners
     user_sets: int = 20
     target_successes: int = 100
-    max_trial_timeslots: int | None = None
     max_set_timeslots: int = 50_000
     min_total_successes: int | None = None
     seed: int = 2024
+
+    def __post_init__(self):
+        for name in ("protocols", "qc_values", "p_values", "grid_sizes"):
+            if not getattr(self, name):
+                raise ConfigError(f"sweep axis {name} is empty")
 
 
 @dataclass(frozen=True)
@@ -64,19 +67,16 @@ class CellResult:
     metrics: AggregateMetrics
 
 
-def cell_config(spec: SweepSpec, protocol: str, p: float, q_c: int, m: int) -> SimConfig:
+def cell_config(spec: SweepSpec, protocol: str, p: float, q_c: int, m: int,
+                users: tuple[int, ...] | None = None) -> SimConfig:
+    """One cell of the sweep; ``users``, if given, replaces the spec's."""
     graph = topology.make_grid(m, p, spec.w0)
-    users = spec.users
-    user_sets = spec.user_sets
-    if spec.corners:
-        users = (0, m - 1, m * (m - 1), m * m - 1)
-    if users is not None:
-        user_sets = 1
+    users = spec.users if users is None else users
     return SimConfig(
         graph=graph, protocol=protocol, delta=spec.delta, q_c=q_c,
-        users=users, n_users=spec.n_users, user_sets=user_sets,
+        users=users, n_users=spec.n_users,
+        user_sets=1 if users is not None else spec.user_sets,
         target_successes=spec.target_successes,
-        max_trial_timeslots=spec.max_trial_timeslots or spec.max_set_timeslots,
         max_set_timeslots=spec.max_set_timeslots,
         min_total_successes=spec.min_total_successes, seed=spec.seed)
 
@@ -280,13 +280,13 @@ def distance_experiment(spec: SweepSpec, fidelity_floor: float = 2.0 / 3.0,
     """For each protocol and grid size, the cutoff maximising the rate while
     the mean fidelity stays at or above the floor."""
     rows = []
-    corner_spec = replace(spec, corners=True)
     for m in spec.grid_sizes:
         dist = 3 * (m - 1)
+        corners = (0, m - 1, m * (m - 1), m * m - 1)
         for protocol in spec.protocols:
             best: CellResult | None = None
             for q_c in spec.qc_values:
-                config = cell_config(corner_spec, protocol, spec.p_values[0], q_c, m)
+                config = cell_config(spec, protocol, spec.p_values[0], q_c, m, corners)
                 met = engine.run_experiment(config, workers=workers, keep_trials=False)
                 cell = CellResult(protocol, spec.p_values[0], q_c, m, met)
                 if progress is not None:

@@ -5,6 +5,14 @@ the two-qubit maximally mixed state, so ``w`` is restricted to [0, 1] and the
 Bell fidelity is ``F = (3w + 1) / 4``. Swapping a chain of links multiplies
 their Werner parameters; storage for ``tau`` timeslots scales ``w`` by
 ``delta**tau``.
+
+Equivalently, a link with parameter ``w`` is the perfect Bell state hit by
+one Pauli error on one end: I with probability ``(1 + 3w) / 4`` and each of
+X, Y and Z with ``(1 - w) / 4``. X and Y flip a qubit, Z and Y add a phase.
+Fusing Bell states into a GHZ state and measuring qubits out in the X basis
+carries these errors through: the result is the target GHZ state exactly when
+the phase errors have even parity and every user ends up with the same flip,
+which is what ``werner_tree_fidelity`` computes.
 """
 
 from __future__ import annotations
@@ -47,6 +55,55 @@ def star_ghz_fidelity(branch_fidelities: Sequence[float]) -> float:
     t2 = math.prod([2.0 * (1.0 - f) / 3.0 for f in fs])
     t3 = math.prod([(1.0 + 2.0 * f) / 3.0 for f in fs])
     return 0.5 * (t1 + t2 + t3)
+
+
+def werner_tree_fidelity(branches: Sequence[tuple[int, int, float]],
+                         users: Sequence[int]) -> float:
+    """Exact fidelity of the GHZ state fused from a tree of Werner branches.
+
+    Each branch ``(end_a, end_b, w)`` is a Bell state with Werner parameter
+    ``w`` (the product over the links swapped into it). Branches sharing a
+    node are fused there, and every end that is not a user (a fork, a star
+    centre, a dangling node) is measured out.
+
+    One pass from a root user: each node keeps the probabilities of (the flip
+    shared by the users below it, relative to itself; the phase parity below
+    it). A user allows only flip 0; a non-user node allows both.
+    """
+    users = set(users)
+    adj: dict[int, list[tuple[int, float]]] = {}
+    n_branches = 0
+    for a, b, w in branches:
+        w = check_werner(w)
+        adj.setdefault(a, []).append((b, w))
+        adj.setdefault(b, []).append((a, w))
+        n_branches += 1
+    if len(users) < 2 or not users <= adj.keys():
+        raise NoiseError(f"branches do not reach every user of {sorted(users)}")
+    root = min(users)
+    parent = {root: (root, 1.0)}
+    order = [root]
+    for v in order:
+        for x, w in adj[v]:
+            if x not in parent:
+                parent[x] = (v, w)
+                order.append(x)
+    if len(order) != len(adj) or n_branches != len(adj) - 1:
+        raise NoiseError("branches do not form a tree")
+    # per node: P(flip 0, even phase), P(0, odd), P(1, even), P(1, odd)
+    table = {v: [1.0, 0.0, 0.0, 0.0] if v in users else [1.0, 0.0, 1.0, 0.0]
+             for v in order}
+    for v in reversed(order[1:]):
+        up, w = parent[v]
+        # the branch to the parent keeps the outcome with probability w and
+        # otherwise spreads it evenly over all four (I, X, Z and Y errors)
+        t = table.pop(v)
+        rest = (1.0 - w) / 4.0 * sum(t)
+        c0, c1, c2, c3 = (w * x + rest for x in t)
+        p0, p1, p2, p3 = table[up]
+        table[up] = [p0 * c0 + p1 * c1, p0 * c1 + p1 * c0,
+                     p2 * c2 + p3 * c3, p2 * c3 + p3 * c2]
+    return table[root][0]
 
 
 def percolation_min_rounds(p: float, p_c: float) -> int:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import routing, statesim
-from .noise import werner_to_fidelity
+from . import routing
+from .noise import check_werner, werner_to_fidelity, werner_tree_fidelity
 from .topology import NetworkGraph, TopologyError, centroid_node
 
 
@@ -138,7 +138,8 @@ def realize_ghz(solution: routing.RoutingSolution, links, delta: float,
                 users) -> RealizedGhz:
     """Swap, fuse and trim the live links of ``solution`` into a GHZ state.
 
-    Uses each link's decohered Werner parameter at its current age. Raises if
+    Uses each link's decohered Werner parameter at its current age; each
+    branch's links swap into one Werner state with their product. Raises if
     any solution edge has no live link (caller bug).
     """
     graph = links.graph
@@ -149,13 +150,10 @@ def realize_ghz(solution: routing.RoutingSolution, links, delta: float,
     w_use = {e: float(graph.w0[i]) * delta ** int(a)
              for e, i, a in zip(solution.edges, idx, ages)}
 
-    users = sorted(set(int(u) for u in users))
-    branch_specs = routing.branch_specs(solution.branches, w_use)
-    prod_fb = math.prod(werner_to_fidelity(math.prod(ws)) for _, _, ws in branch_specs)
-    removal = set(solution.forks) - set(users)
-    if solution.kind == "star":
-        removal.add(solution.center)
-    fidelity = statesim.pipeline_fidelity(branch_specs, users, sorted(removal))
+    branches = [(a, b, math.prod(map(check_werner, ws)))
+                for a, b, ws in routing.branch_specs(solution.branches, w_use)]
+    prod_fb = math.prod(werner_to_fidelity(w) for _, _, w in branches)
+    fidelity = werner_tree_fidelity(branches, users)
 
     mean_age = float(ages.mean())
     r_size = len(solution.edges)

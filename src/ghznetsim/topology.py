@@ -8,7 +8,6 @@ between threads or processes.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Iterable, Sequence
 
@@ -89,23 +88,6 @@ class NetworkGraph:
                     dist[y] = dist[x] + 1
                     queue.append(y)
         return dist
-
-    def to_json(self) -> str:
-        payload = {
-            "nodes": self.n_nodes,
-            "edges": [[u, v, p, w] for (u, v), p, w in zip(self.edges, self.gen_prob, self.w0)],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "NetworkGraph":
-        payload = json.loads(text)
-        try:
-            nodes = payload["nodes"]
-            edges = [(int(u), int(v), float(p), float(w)) for u, v, p, w in payload["edges"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TopologyError(f"malformed graph JSON: {exc}") from exc
-        return cls(nodes, edges)
 
     def __repr__(self) -> str:
         return f"NetworkGraph(n_nodes={self.n_nodes}, n_edges={self.n_edges})"

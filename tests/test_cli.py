@@ -129,13 +129,38 @@ def test_pareto_reruns_a_sweep_of_another_spec(tmp_path, capsys):
     sweep = ("--grid", "3", "--Qc", "2,4", "--user-sets", "1", "--successes", "5",
              "--protocol", "mp-t,sp-t", "--out", str(out))
     assert run_cli("run", *sweep, "--p", "0.5") == 0
+    files = {name: (out / name).read_bytes()
+             for name in ("results.csv", "summary.json", "trials.jsonl")}
     capsys.readouterr()
-    # the stored summary is for p=0.5, so a p=0.3 analysis must run its own sweep
-    assert run_cli("pareto", *sweep, "--p", "0.3") == 0
-    printed = capsys.readouterr().out
-    assert "running sweep" in printed and "tree_speedup" in printed
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["spec"]["p_values"] == [0.3]
+    # the stored sweep is for p=0.5: a p=0.3 analysis must not replace it
+    assert run_cli("pareto", *sweep, "--p", "0.3") == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "another spec" in captured.err and "running sweep" not in captured.out
+    assert {name: (out / name).read_bytes() for name in files} == files
+    assert json.loads(files["summary.json"])["spec"]["p_values"] == [0.5]
+    assert not (out / "pareto.svg").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "pareto", "distance"])
+@pytest.mark.parametrize("flag", ["--protocol", "--Qc", "--p", "--grid"])
+def test_empty_sweep_axis_exits_2(tmp_path, capsys, command, flag):
+    args = {"--protocol": "mp-t", "--Qc": "2", "--p": "0.4", "--grid": "3"}
+    args[flag] = ","
+    argv = [command, "--users", "0,8", "--successes", "2", "--out", str(tmp_path / "x")]
+    for name, value in args.items():
+        argv += [name, value]
+    assert run_cli(*argv) == cli.EXIT_CONFIG
+    assert "is empty" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["protocol", "qc", "p", "grid"])
+def test_empty_sweep_axis_in_config_exits_2(tmp_path, capsys, key):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(f"users = 0,8\nsuccesses = 2\n{key} =\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x")) == \
+        cli.EXIT_CONFIG
+    assert "is empty" in capsys.readouterr().err
 
 
 def test_distance_command(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghznetsim import noise, protocols, routing, statesim
 from ghznetsim.engine import ConfigError, LinkState, SimConfig
@@ -126,6 +127,81 @@ def test_ghz_fidelity_floor():
         pytest.approx(0.8471, abs=1e-3)
     assert realize_path([0.9] * 7, [3, 4, 3, 4, 3, 4, 3], 1.0).fidelity_floor == \
         pytest.approx(0.9 ** 7)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form tree fidelity against the diagonal pipeline
+
+@st.composite
+def werner_trees(draw):
+    """``(branches, users)``, each branch a chain of link Werner values.
+
+    Random trees take any two or more nodes as users, so users may be
+    interior and non-users may be forks or dangling leaves; stars have a
+    non-user centre; a Bell chain is one branch of up to 6 links.
+    """
+    shape = draw(st.sampled_from(("tree", "star", "bell")))
+    if shape == "tree":
+        n = draw(st.integers(2, 8))
+        ends = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        users = draw(st.lists(st.sampled_from(range(n)), min_size=2, unique=True))
+    elif shape == "star":
+        n = draw(st.integers(3, 7))
+        ends = [(0, v) for v in range(1, n)]
+        users = list(range(1, n))
+    else:
+        n, ends, users = 2, [(0, 1)], [0, 1]
+    label = draw(st.permutations(range(n)))
+    links = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6 if shape == "bell" else 3)
+    branches = [(label[a], label[b], draw(links)) for a, b in ends]
+    return branches, [label[u] for u in users]
+
+
+@settings(max_examples=300, deadline=None)
+@given(werner_trees())
+def test_werner_tree_fidelity_matches_pipeline(tree):
+    branches, users = tree
+    nodes = {x for a, b, _ in branches for x in (a, b)}
+    want = statesim.pipeline_fidelity(branches, users, sorted(nodes - set(users)))
+    got = noise.werner_tree_fidelity([(a, b, math.prod(ws)) for a, b, ws in branches],
+                                     users)
+    assert abs(got - want) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=7), st.integers(0, 99))
+def test_werner_tree_fidelity_matches_star_formula(ws, center):
+    users = [center + 1 + i for i in range(len(ws))]
+    got = noise.werner_tree_fidelity([(center, u, w) for u, w in zip(users, ws)], users)
+    want = noise.star_ghz_fidelity([noise.werner_to_fidelity(w) for w in ws])
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_werner_tree_fidelity_bell_and_extremes():
+    assert noise.werner_tree_fidelity([(3, 7, 0.72)], [7, 3]) == \
+        noise.werner_to_fidelity(0.72)
+    perfect = [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0), (3, 4, 1.0)]
+    assert noise.werner_tree_fidelity(perfect, [0, 2, 4]) == 1.0
+    # fully mixed branches into three users leave the maximally mixed state
+    mixed = [(9, 0, 0.0), (9, 1, 0.0), (9, 2, 0.0)]
+    assert noise.werner_tree_fidelity(mixed, [0, 1, 2]) == pytest.approx(1 / 8)
+
+
+@pytest.mark.parametrize("branches, users", [
+    ([(0, 1, 0.9), (1, 2, 0.9), (2, 0, 0.9)], [0, 1, 2]),                # cycle
+    ([(0, 1, 0.9), (2, 3, 0.9)], [0, 1, 2, 3]),                           # forest
+    ([(0, 1, 0.9), (1, 2, 0.9), (2, 0, 0.9), (3, 4, 0.9)], [0, 3]),       # forest, |B| = |V| - 1
+    ([(0, 1, 0.9), (1, 1, 0.9)], [0, 1]),                                 # self-loop
+    ([(0, 1, 0.9), (0, 1, 0.8)], [0, 1]),                                 # doubled branch
+    ([(0, 1, 0.9)], [0, 1, 2]),                                           # missing user
+    ([(0, 1, 0.9)], [0]),                                                 # one user
+    ([], [0, 1]),                                                         # no branches
+    ([(0, 1, 1.5)], [0, 1]),                                              # w > 1
+    ([(0, 1, 0.9), (1, 2, -0.1)], [0, 2]),                                # w < 0
+])
+def test_werner_tree_fidelity_rejects_malformed_input(branches, users):
+    with pytest.raises(NoiseError):
+        noise.werner_tree_fidelity(branches, users)
 
 
 def test_percolation_min_rounds():

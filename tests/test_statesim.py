@@ -178,91 +178,6 @@ def test_tree_lower_bound_chain():
         assert exact >= w_r - 1e-12
 
 
-def test_depolarizing_oracle():
-    oracle = dense.DepolarizingOracle(p_n=0.7, n_qubits=2)
-    rho = dense.werner_dm(1.0)
-    out = oracle.apply(rho)
-    assert np.trace(out) == pytest.approx(1.0, abs=1e-12)
-    # depolarizing the ideal Bell state gives exactly the Werner state
-    assert np.allclose(out, dense.werner_dm(0.7), atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# swap, fusion and removal against plain reference formulations (a numpy
-# loop, np.add.at over freshly built index arrays): equal to the last bit
-
-def _flip_bit_ref(k, qubit):
-    return np.zeros_like(k) if qubit == 0 else (k >> (qubit - 1)) & 1
-
-
-def _fuse_ref(wa, wb, n1, n2, qubit_a, qubit_b):
-    ia, ib = np.arange(2 ** n1), np.arange(2 ** n2)
-    b_a, k_a = ia >> (n1 - 1), ia & ((1 << (n1 - 1)) - 1)
-    b_b, k_b = ib >> (n2 - 1), ib & ((1 << (n2 - 1)) - 1)
-    kept = [q for q in range(n2) if q != qubit_b]
-    k_b_kept = np.zeros_like(k_b)
-    for pos, q in enumerate(kept):
-        k_b_kept |= _flip_bit_ref(k_b, q) << pos
-    x = _flip_bit_ref(k_a, qubit_a)[:, None] ^ _flip_bit_ref(k_b, qubit_b)[None, :]
-    k_b_out = k_b_kept[None, :] ^ (x * ((1 << (n2 - 1)) - 1))
-    n_out = n1 + n2 - 1
-    idx = ((b_a[:, None] ^ b_b[None, :]) << (n_out - 1)) | (k_b_out << (n1 - 1)) | k_a[:, None]
-    out = np.zeros(2 ** n_out)
-    np.add.at(out, idx, wa[:, None] * wb[None, :])
-    return out
-
-
-def _remove_ref(w, n, qubit):
-    i = np.arange(2 ** n)
-    b, k = i >> (n - 1), i & ((1 << (n - 1)) - 1)
-    if qubit == 0:
-        k_out = (k ^ ((k & 1) * ((1 << (n - 1)) - 1))) >> 1
-    else:
-        pos = qubit - 1
-        k_out = (k & ((1 << pos) - 1)) | ((k >> (pos + 1)) << pos)
-    out = np.zeros(2 ** (n - 1))
-    np.add.at(out, (b << (n - 2)) | k_out, w)
-    return out
-
-
-def test_swap_matches_loop_reference():
-    rng = np.random.default_rng(29)
-    for _ in range(200):
-        wa, wb = (rng.dirichlet(np.ones(4)) * (rng.random(4) < 0.8) for _ in range(2))
-        if wa.sum() == 0.0 or wb.sum() == 0.0:
-            continue
-        a = BellDiagonalState(wa / wa.sum())
-        b = BellDiagonalState(wb / wb.sum())
-        want = np.zeros(4)
-        for i in range(4):
-            for j in range(4):
-                want[i ^ j] += a.weights[i] * b.weights[j]
-        assert np.array_equal(swap(a, b).weights, want)
-
-
-def test_fuse_table_matches_add_at_reference():
-    rng = np.random.default_rng(31)
-    shapes = 0
-    for n1 in range(2, 7):
-        for n2 in range(2, 9 - n1):
-            a = GhzDiagonalState(n1, rng.dirichlet(np.ones(2 ** n1)))
-            b = GhzDiagonalState(n2, rng.dirichlet(np.ones(2 ** n2)))
-            for qa in range(n1):
-                for qb in range(n2):
-                    got = fuse(a, b, qa, qb).weights
-                    assert np.array_equal(got, _fuse_ref(a.weights, b.weights, n1, n2, qa, qb))
-                    shapes += 1
-    assert shapes == 155
-
-
-def test_remove_table_matches_add_at_reference():
-    rng = np.random.default_rng(37)
-    for n in range(3, 8):
-        g = GhzDiagonalState(n, rng.dirichlet(np.ones(2 ** n)))
-        for q in range(n):
-            assert np.array_equal(remove_qubit(g, q).weights, _remove_ref(g.weights, n, q))
-
-
 # ---------------------------------------------------------------------------
 # golden outputs: every fidelity bit of the pipeline, recorded as float.hex
 

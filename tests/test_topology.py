@@ -51,15 +51,6 @@ def test_graph_validation():
         NetworkGraph(2, [(0, 5, 0.5, 0.9)])
 
 
-def test_json_round_trip():
-    g = make_grid(3, 0.25, 0.95)
-    g2 = NetworkGraph.from_json(g.to_json())
-    assert g2.n_nodes == g.n_nodes
-    assert g2.edges == g.edges
-    assert g2.gen_prob == g.gen_prob
-    assert g2.w0 == g.w0
-
-
 def test_user_set_validation():
     g = make_grid(3, 0.5, 0.9)
 
