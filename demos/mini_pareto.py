@@ -34,7 +34,8 @@ for cell in cells:
     print(f"{cell.protocol:<8} {cell.q_c:>3} {met.dr:>10.5f} {met.mean_fidelity:>9.4f} "
           f"{met.mean_r_size:>6.2f} {met.mean_age:>5.2f}")
 
-stats = experiments.comparison_stats(cells, p=0.3, m=4)
+stats = experiments.comparison_stats(experiments.summary_dict(cells)["cells"],
+                                     p=0.3, m=4)
 print(f"\nmatched comparisons (tree): speedup {stats['tree_speedup']:.2f}, "
       f"fidelity gain {stats['tree_fidelity_gain'] * 100:.1f}%")
 

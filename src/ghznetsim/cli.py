@@ -110,12 +110,15 @@ _DEFAULTS = dict(
 
 def _merged_options(args: argparse.Namespace) -> SimpleNamespace:
     merged = dict(_DEFAULTS)
+    flags = {attr.lower(): value for attr, value in vars(args).items()
+             if attr not in ("command", "config")}
     if getattr(args, "config", None):
-        merged.update(read_config_file(args.config))
-    for attr, value in vars(args).items():
-        if attr in ("command", "config") or value is None:
-            continue
-        merged[attr.lower()] = value
+        from_file = read_config_file(args.config)
+        unknown = sorted(set(from_file) - set(flags))
+        if unknown:
+            raise CliError(f"{args.config}: unknown key {', '.join(unknown)}")
+        merged.update(from_file)
+    merged.update((key, value) for key, value in flags.items() if value is not None)
     return SimpleNamespace(**merged)
 
 
@@ -193,17 +196,6 @@ def _spec_dict(spec: SweepSpec) -> dict:
     return d
 
 
-def _cells_from_summary(path: Path) -> list:
-    payload = json.loads(path.read_text())
-    cells = []
-    for row in payload["cells"]:
-        metrics = SimpleNamespace(valid=row["valid"], dr=row["dr"],
-                                  mean_fidelity=row["mean_fidelity"])
-        cells.append(SimpleNamespace(protocol=row["protocol"], p=row["p"],
-                                     q_c=row["Qc"], m=row["M"], metrics=metrics))
-    return cells
-
-
 def cmd_pareto(opts: SimpleNamespace) -> int:
     out = Path(str(opts.out))
     summary_path = out / "summary.json"
@@ -215,7 +207,7 @@ def cmd_pareto(opts: SimpleNamespace) -> int:
     elif json.loads(summary_path.read_text()).get("spec") != _spec_dict(spec):
         raise CliError(f"{summary_path} holds a sweep of another spec; "
                        "choose another --out")
-    cells = _cells_from_summary(summary_path)
+    cells = json.loads(summary_path.read_text())["cells"]
     p = spec.p_values[0]
     m = spec.grid_sizes[0]
     stats = experiments.comparison_stats(cells, p=p, m=m)

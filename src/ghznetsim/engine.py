@@ -20,12 +20,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import chi2
 
 from . import protocols
 from .routing import NoRouteError
 from .topology import NetworkGraph
+
+
+CHI2_999 = 10.827566170662733  # chi2.ppf(0.999, df=1), the 99.9% quantile
 
 
 class ConfigError(ValueError):
@@ -333,30 +334,32 @@ def aggregate(config: SimConfig, sets: tuple[SetMetrics, ...]) -> AggregateMetri
         valid=valid, omit_reason=reason)
 
 
-def dr_confidence_interval(successes: int, timeslots: int,
-                           level: float = 0.999) -> tuple[float, float]:
-    """Likelihood-ratio confidence interval for a per-timeslot success rate.
+def dr_confidence_interval(successes: int, timeslots: int) -> tuple[float, float]:
+    """99.9% likelihood-ratio confidence interval for a per-timeslot success rate.
 
     Contains every rate q whose log-likelihood is within the chi-square
-    quantile of the maximum: 2 * (l(q_hat) - l(q)) <= chi2_1(level).
+    quantile of the maximum: 2 * (l(q_hat) - l(q)) <= CHI2_999. Each end is
+    the last float inside that set, found by bisection from q_hat outwards.
     """
     if timeslots <= 0:
         raise ConfigError("need at least one timeslot")
     if not 0 <= successes <= timeslots:
         raise ConfigError("successes outside [0, timeslots]")
-    crit = float(chi2.ppf(level, df=1))
     s, n = successes, timeslots
     if s == 0:
-        return 0.0, 1.0 - math.exp(-crit / (2.0 * n))
+        return 0.0, 1.0 - math.exp(-CHI2_999 / (2.0 * n))
     if s == n:
-        return math.exp(-crit / (2.0 * n)), 1.0
+        return math.exp(-CHI2_999 / (2.0 * n)), 1.0
 
     q_hat = s / n
     peak = s * math.log(q_hat) + (n - s) * math.log1p(-q_hat)
 
-    def gap(q: float) -> float:
-        return 2.0 * (peak - s * math.log(q) - (n - s) * math.log1p(-q)) - crit
+    def end(inside: float, outside: float) -> float:
+        while (mid := 0.5 * (inside + outside)) not in (inside, outside):
+            if 2.0 * (peak - s * math.log(mid) - (n - s) * math.log1p(-mid)) <= CHI2_999:
+                inside = mid
+            else:
+                outside = mid
+        return inside
 
-    lo = brentq(gap, 1e-18, q_hat, xtol=1e-15, rtol=1e-14)
-    hi = brentq(gap, q_hat, 1.0 - 1e-16, xtol=1e-15, rtol=1e-14)
-    return float(lo), float(hi)
+    return end(q_hat, 0.0), end(q_hat, 1.0)

@@ -83,17 +83,17 @@ def cell_config(spec: SweepSpec, protocol: str, p: float, q_c: int, m: int,
 
 def run_sweep(spec: SweepSpec, workers: int | None = None,
               keep_trials: bool = True, progress=None) -> list[CellResult]:
+    # every cell's configuration is built, and so checked, before any cell runs
+    plan = [(protocol, p, q_c, m, cell_config(spec, protocol, p, q_c, m))
+            for m in spec.grid_sizes for p in spec.p_values
+            for protocol in spec.protocols for q_c in spec.qc_values]
     cells = []
-    for m in spec.grid_sizes:
-        for p in spec.p_values:
-            for protocol in spec.protocols:
-                for q_c in spec.qc_values:
-                    config = cell_config(spec, protocol, p, q_c, m)
-                    metrics = engine.run_experiment(config, workers=workers,
-                                                    keep_trials=keep_trials)
-                    cells.append(CellResult(protocol, p, q_c, m, metrics))
-                    if progress is not None:
-                        progress(cells[-1])
+    for protocol, p, q_c, m, config in plan:
+        metrics = engine.run_experiment(config, workers=workers,
+                                        keep_trials=keep_trials)
+        cells.append(CellResult(protocol, p, q_c, m, metrics))
+        if progress is not None:
+            progress(cells[-1])
     return cells
 
 
@@ -178,18 +178,19 @@ class Point:
     fidelity: float
 
 
-def valid_points(cells: list[CellResult], protocol: str,
+def valid_points(rows: list[dict], protocol: str,
                  p: float | None = None, m: int | None = None) -> list[Point]:
+    """Valid cells of one protocol, from ``summary_dict`` rows."""
     pts = []
-    for cell in cells:
-        if cell.protocol != protocol:
+    for row in rows:
+        if row["protocol"] != protocol:
             continue
-        if p is not None and cell.p != p:
+        if p is not None and row["p"] != p:
             continue
-        if m is not None and cell.m != m:
+        if m is not None and row["M"] != m:
             continue
-        if cell.metrics.valid:
-            pts.append(Point(cell.q_c, cell.metrics.dr, cell.metrics.mean_fidelity))
+        if row["valid"]:
+            pts.append(Point(row["Qc"], row["dr"], row["mean_fidelity"]))
     return pts
 
 
@@ -239,10 +240,11 @@ def max_fidelity_gain(better: list[Point], base: list[Point]) -> float:
     return best
 
 
-def comparison_stats(cells: list[CellResult], p: float | None = None,
+def comparison_stats(rows: list[dict], p: float | None = None,
                      m: int | None = None) -> dict:
-    """Tree and star matched comparisons plus per-protocol frontiers."""
-    pts = {proto: valid_points(cells, proto, p=p, m=m)
+    """Tree and star matched comparisons plus per-protocol frontiers, from
+    ``summary_dict`` rows."""
+    pts = {proto: valid_points(rows, proto, p=p, m=m)
            for proto in ("mp-t", "sp-t", "mp-s", "sp-s")}
     stats = {
         "points": {proto: [vars(pt) for pt in series] for proto, series in pts.items()},
@@ -279,31 +281,36 @@ def distance_experiment(spec: SweepSpec, fidelity_floor: float = 2.0 / 3.0,
                         workers: int | None = None, progress=None) -> list[DistanceRow]:
     """For each protocol and grid size, the cutoff maximising the rate while
     the mean fidelity stays at or above the floor."""
+    if not 0.0 <= fidelity_floor <= 1.0:
+        raise ConfigError(f"fidelity floor {fidelity_floor} outside [0, 1]")
+    p = spec.p_values[0]
+    # every cell's configuration is built, and so checked, before any cell runs
+    plan = [(m, protocol, [cell_config(spec, protocol, p, q_c, m,
+                                       (0, m - 1, m * (m - 1), m * m - 1))
+                           for q_c in spec.qc_values])
+            for m in spec.grid_sizes for protocol in spec.protocols]
     rows = []
-    for m in spec.grid_sizes:
+    for m, protocol, configs in plan:
+        best: CellResult | None = None
+        for config in configs:
+            met = engine.run_experiment(config, workers=workers, keep_trials=False)
+            cell = CellResult(protocol, p, config.q_c, m, met)
+            if progress is not None:
+                progress(cell)
+            if not met.valid or math.isnan(met.mean_fidelity):
+                continue
+            if met.mean_fidelity < fidelity_floor:
+                continue
+            if best is None or met.dr > best.metrics.dr:
+                best = cell
         dist = 3 * (m - 1)
-        corners = (0, m - 1, m * (m - 1), m * m - 1)
-        for protocol in spec.protocols:
-            best: CellResult | None = None
-            for q_c in spec.qc_values:
-                config = cell_config(spec, protocol, spec.p_values[0], q_c, m, corners)
-                met = engine.run_experiment(config, workers=workers, keep_trials=False)
-                cell = CellResult(protocol, spec.p_values[0], q_c, m, met)
-                if progress is not None:
-                    progress(cell)
-                if not met.valid or math.isnan(met.mean_fidelity):
-                    continue
-                if met.mean_fidelity < fidelity_floor:
-                    continue
-                if best is None or met.dr > best.metrics.dr:
-                    best = cell
-            if best is None:
-                rows.append(DistanceRow(protocol, m, dist, None, 0.0, (0.0, 0.0),
-                                        math.nan, False))
-            else:
-                met = best.metrics
-                rows.append(DistanceRow(protocol, m, dist, best.q_c, met.dr,
-                                        met.dr_ci, met.mean_fidelity, True))
+        if best is None:
+            rows.append(DistanceRow(protocol, m, dist, None, 0.0, (0.0, 0.0),
+                                    math.nan, False))
+        else:
+            met = best.metrics
+            rows.append(DistanceRow(protocol, m, dist, best.q_c, met.dr,
+                                    met.dr_ci, met.mean_fidelity, True))
     return rows
 
 

@@ -137,7 +137,8 @@ def test_criterion_05_geometric_sanity():
 
 
 def test_criterion_06_pareto_reproduction(sweep_p01):
-    stats = experiments.comparison_stats(sweep_p01, p=0.1, m=6)
+    stats = experiments.comparison_stats(
+        experiments.summary_dict(sweep_p01)["cells"], p=0.1, m=6)
     checks = {
         "mp-t dominates sp-t": stats.get("tree_dominates", False),
         "tree speedup in [5, 12]": 5.0 <= stats.get("tree_speedup", 0) <= 12.0,
@@ -213,8 +214,10 @@ def test_criterion_08_distance_experiment(distance_rows):
 
 
 def test_criterion_09_appendix_spot_checks(sweep_p02, sweep_p03):
-    s2 = experiments.comparison_stats(sweep_p02, p=0.2, m=6)
-    s3 = experiments.comparison_stats(sweep_p03, p=0.3, m=6)
+    s2 = experiments.comparison_stats(
+        experiments.summary_dict(sweep_p02)["cells"], p=0.2, m=6)
+    s3 = experiments.comparison_stats(
+        experiments.summary_dict(sweep_p03)["cells"], p=0.3, m=6)
     checks = {
         "p=0.2 speedup in [6, 13]": 6.0 <= s2.get("tree_speedup", 0) <= 13.0,
         "p=0.2 fidelity gain in [18%, 42%]":

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +74,50 @@ def test_bad_config_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("no equals sign here\n")
     assert run_cli("run", "--config", str(cfg)) == cli.EXIT_CONFIG
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("grid = 3\ncutof = 2\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x")) == \
+        cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "unknown key cutof" in captured.err and "running sweep" not in captured.out
+    # a key of another command is unknown to this one
+    cfg.write_text("floor = 0.5\n")
+    assert run_cli("run", "--config", str(cfg)) == cli.EXIT_CONFIG
+    assert "unknown key floor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--protocol", "mp-t,sp-t", "--Qc", "5,0"),
+    ("run", "--protocol", "mp-t", "--Qc", "2", "--p", "0.2,1.5"),
+    ("run", "--protocol", "mp-t,xx-t", "--Qc", "2"),
+    ("distance", "--protocol", "mp-t", "--Qc", "2", "--grid", "3,1"),
+    ("distance", "--protocol", "mp-t", "--Qc", "2", "--floor", "1.5"),
+])
+def test_bad_sweep_value_exits_2_before_any_cell(tmp_path, capsys, argv):
+    # the bad value comes after a good one, so a cell-by-cell check would
+    # run the first cell before failing; a repeated flag overrides the base
+    base = ("--grid", "4", "--p", "0.2", "--user-sets", "1", "--successes", "3",
+            "--out", str(tmp_path / "x"))
+    assert run_cli(argv[0], *base, *argv[1:]) == cli.EXIT_CONFIG
+    assert "DR=" not in capsys.readouterr().out
+
+
+def test_package_imports_without_scipy():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import importlib, json, pkgutil, sys, ghznetsim\n"
+            "names = [m.name for m in pkgutil.iter_modules(ghznetsim.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module('ghznetsim.' + name)\n"
+            "print(json.dumps([names, [m for m in sys.modules if m.startswith('scipy')]]))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    names, scipy_modules = json.loads(out)
+    assert {"cli", "engine", "experiments", "statesim"} <= set(names)
+    assert scipy_modules == []
 
 
 def test_user_outside_graph_exits_2(tmp_path, capsys):

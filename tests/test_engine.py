@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -186,10 +187,8 @@ def test_dr_confidence_interval_examples():
 
 def test_dr_confidence_interval_matches_likelihood_ratio_direct():
     # scan the likelihood-ratio condition directly on a grid of rates
-    from scipy.stats import chi2
-
     s, n = 40, 640
-    crit = chi2.ppf(0.999, df=1)
+    crit = engine.CHI2_999
     q_hat = s / n
     peak = s * math.log(q_hat) + (n - s) * math.log1p(-q_hat)
     lo, hi = engine.dr_confidence_interval(s, n)
@@ -198,6 +197,28 @@ def test_dr_confidence_interval_matches_likelihood_ratio_direct():
             if 2 * (peak - (s * math.log(q) + (n - s) * math.log1p(-q))) <= crit]
     assert min(keep) == pytest.approx(lo, abs=2e-4)
     assert max(keep) == pytest.approx(hi, abs=2e-4)
+
+
+def test_chi2_999_is_the_normal_quantile_squared():
+    # chi-square with one degree of freedom is a squared standard normal
+    assert engine.CHI2_999 == pytest.approx(
+        statistics.NormalDist().inv_cdf(0.9995) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("s, n", [(1, 10**7), (1, 2), (40, 640), (99, 100),
+                                  (12345, 10**6), (3, 400), (799, 800)])
+def test_dr_confidence_interval_ends_are_float_tight(s, n):
+    q_hat = s / n
+    peak = s * math.log(q_hat) + (n - s) * math.log1p(-q_hat)
+
+    def inside(q):
+        return 2.0 * (peak - s * math.log(q) - (n - s) * math.log1p(-q)) <= engine.CHI2_999
+
+    lo, hi = engine.dr_confidence_interval(s, n)
+    assert 0.0 < lo < q_hat < hi < 1.0
+    assert inside(lo) and inside(hi)
+    assert not inside(math.nextafter(lo, 0.0))
+    assert not inside(math.nextafter(hi, 1.0))
 
 
 def test_config_validation():

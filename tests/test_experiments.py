@@ -5,7 +5,6 @@ import pytest
 
 from ghznetsim import experiments
 from ghznetsim.experiments import (
-    CellResult,
     Point,
     SweepSpec,
     comparison_stats,
@@ -100,22 +99,19 @@ def test_matched_comparison_identical_series_is_unity():
 
 
 def test_comparison_stats_shape():
-    cells = [
-        CellResult("mp-t", 0.1, 1, 6, _FakeMetrics(0.2, 0.9, True)),
-        CellResult("sp-t", 0.1, 1, 6, _FakeMetrics(0.1, 0.8, True)),
-        CellResult("sp-t", 0.1, 2, 6, _FakeMetrics(0.0, math.nan, False)),
+    def row(protocol, q_c, dr, fid, valid):
+        return {"protocol": protocol, "p": 0.1, "M": 6, "Qc": q_c, "valid": valid,
+                "dr": dr, "mean_fidelity": fid}
+
+    rows = [
+        row("mp-t", 1, 0.2, 0.9, True),
+        row("sp-t", 1, 0.1, 0.8, True),
+        row("sp-t", 2, 0.0, math.nan, False),
     ]
-    stats = comparison_stats(cells, p=0.1, m=6)
+    stats = comparison_stats(rows, p=0.1, m=6)
     assert stats["tree_speedup"] == pytest.approx(2.0)
     assert stats["tree_dominates"] is True
     assert len(stats["points"]["sp-t"]) == 1  # omitted point excluded
-
-
-class _FakeMetrics:
-    def __init__(self, dr, fid, valid):
-        self.dr = dr
-        self.mean_fidelity = fid
-        self.valid = valid
 
 
 def test_distance_rows(tmp_path):
