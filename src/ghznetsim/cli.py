@@ -1,7 +1,7 @@
 """Command-line front end: run, pareto, distance, validate.
 
-Configuration comes from an optional key = value file plus flags, with flags
-winning. Exit codes: 0 success, 2 configuration error, 3 insufficient data,
+A ``--config`` file of key = value lines stands for the same flags, placed
+before the command line's, so flags win. Exit codes: 0 success, 2 configuration error, 3 insufficient data,
 4 validation failure.
 """
 
@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 from . import experiments, svgplot, validation
 from .engine import resolve_workers
@@ -28,7 +27,7 @@ class CliError(Exception):
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
-    """Accepts "5", "1,2,3" or an inclusive range "1-20"."""
+    """Accepts "5", "1,2,3" or an inclusive range "2-8"."""
     text = text.strip()
     if "-" in text and "," not in text:
         lo, hi = text.split("-", 1)
@@ -40,12 +39,17 @@ def parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in str(text).split(",") if part.strip())
+    return tuple(float(part) for part in text.split(",") if part.strip())
 
 
-def read_config_file(path: str) -> dict[str, str]:
-    """Plain key = value lines; '#' starts a comment."""
-    out: dict[str, str] = {}
+def config_tokens(args: argparse.Namespace) -> list[str]:
+    """The flags that the ``--config`` file stands for: one ``--key=value``
+    token per key = value line, where a key is any other option of the
+    command; '#' starts a comment."""
+    path = args.config
+    known = {dest.lower(): dest for dest in vars(args)
+             if dest not in ("command", "config")}
+    tokens = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -53,8 +57,12 @@ def read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key = value")
         key, value = line.split("=", 1)
-        out[key.strip().lower().replace("-", "_")] = value.strip().strip('"').strip("'")
-    return out
+        key = key.strip().lower().replace("-", "_")
+        if key not in known:
+            raise CliError(f"{path}: unknown key {key}")
+        value = value.strip().strip('"').strip("'")
+        tokens.append(f"--{known[key].replace('_', '-')}={value}")
+    return tokens
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,27 +73,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="key = value configuration file")
+        p.add_argument("--config", help="key = value file of flags; "
+                                        "command-line flags win")
         p.add_argument("--protocol", help="comma list from sp-s,sp-t,mp-s,mp-t")
         p.add_argument("--grid", help="grid sizes M (list or range)")
         p.add_argument("--p", help="link generation probabilities (comma list)")
         p.add_argument("--w0", type=float, help="initial Werner parameter")
         p.add_argument("--delta", type=float, help="per-slot decoherence constant")
-        p.add_argument("--Qc", help="memory cutoffs (list or range, e.g. 1-20)")
+        p.add_argument("--Qc", help="memory cutoffs (list or range, e.g. 2-8)")
         p.add_argument("--users", help="explicit node list or random:N")
         p.add_argument("--user-sets", type=int, help="number of sampled user sets")
         p.add_argument("--successes", type=int, help="target successes per user set")
         p.add_argument("--max-timeslots", type=int,
                        help="timeslot budget per user set")
-        p.add_argument("--min-successes", type=int,
-                       help="omission threshold on total successes")
         p.add_argument("--seed", type=int, help="root RNG seed")
-        p.add_argument("--scale", choices=sorted(SCALES),
+        p.add_argument("--scale", choices=sorted(SCALES), default="desk",
                        help="preset for user sets, successes and budget")
         p.add_argument("--workers", type=int,
                        help="parallel user-set workers (capped by GHZNETSIM_THREADS)")
-        p.add_argument("--out", help="output directory (default ./out)")
+        p.add_argument("--out", default="out", help="output directory (default ./out)")
         p.add_argument("--trial-log", choices=("none", "successes", "all"),
+                       default="successes",
                        help="which per-trial records go to trials.jsonl")
 
     run_p = sub.add_parser("run", help="run a sweep and write result tables")
@@ -94,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(pareto_p)
     dist_p = sub.add_parser("distance", help="corner-user distance experiment")
     common(dist_p)
-    dist_p.add_argument("--floor", type=float, default=None,
+    dist_p.set_defaults(grid="3-6", p="0.3")
+    dist_p.add_argument("--floor", type=float, default=experiments.FIDELITY_FLOOR,
                         help="minimum mean fidelity (default 2/3)")
     val_p = sub.add_parser("validate", help="run the oracle cross-check suites")
     val_p.add_argument("--quick", action="store_true",
@@ -102,62 +111,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULTS = dict(
-    protocol="mp-t,mp-s,sp-t,sp-s", w0=0.987, delta=0.99,
-    qc="1-20", users="random:4", scale="desk", seed=2024, out="out",
-    trial_log="successes")
-
-
-def _merged_options(args: argparse.Namespace) -> SimpleNamespace:
-    merged = dict(_DEFAULTS)
-    flags = {attr.lower(): value for attr, value in vars(args).items()
-             if attr not in ("command", "config")}
-    if getattr(args, "config", None):
-        from_file = read_config_file(args.config)
-        unknown = sorted(set(from_file) - set(flags))
-        if unknown:
-            raise CliError(f"{args.config}: unknown key {', '.join(unknown)}")
-        merged.update(from_file)
-    merged.update((key, value) for key, value in flags.items() if value is not None)
-    return SimpleNamespace(**merged)
-
-
-def _option(opts: SimpleNamespace, name: str, default):
-    """An option's value, or ``default`` when it is not given; a given 0 or
-    empty list is passed on, so the configuration check rejects it."""
-    value = getattr(opts, name, None)
-    return default if value is None else value
-
-
-def build_spec(opts: SimpleNamespace, default_grid: str = "6",
-               default_p: str = "0.1") -> SweepSpec:
-    scale = SCALES[str(getattr(opts, "scale", "desk"))]
-    users = None
-    n_users = 4
-    users_text = str(getattr(opts, "users", "random:4"))
-    if users_text.startswith("random:"):
-        n_users = int(users_text.split(":", 1)[1])
-    else:
-        users = tuple(int(u) for u in users_text.split(",") if u.strip())
-    user_sets = int(_option(opts, "user_sets", scale["user_sets"]))
-    successes = int(_option(opts, "successes", scale["target_successes"]))
-    budget = int(_option(opts, "max_timeslots", scale["max_set_timeslots"]))
-    min_succ = getattr(opts, "min_successes", None)
-    return SweepSpec(
-        protocols=tuple(s.strip() for s in str(opts.protocol).split(",") if s.strip()),
-        qc_values=parse_int_list(str(opts.qc)),
-        p_values=parse_float_list(str(_option(opts, "p", default_p))),
-        grid_sizes=parse_int_list(str(_option(opts, "grid", default_grid))),
-        w0=float(opts.w0), delta=float(opts.delta),
-        users=users, n_users=n_users, user_sets=user_sets,
-        target_successes=successes, max_set_timeslots=budget,
-        min_total_successes=int(min_succ) if min_succ is not None else None,
-        seed=int(opts.seed))
-
-
-def _workers(opts: SimpleNamespace) -> int:
-    requested = getattr(opts, "workers", None)
-    return resolve_workers(int(requested) if requested is not None else None)
+def build_spec(opts: argparse.Namespace) -> SweepSpec:
+    """The sweep the options ask for: the options given, on top of the
+    ``--scale`` preset and ``SweepSpec``'s own defaults."""
+    given = dict(w0=opts.w0, delta=opts.delta, user_sets=opts.user_sets,
+                 target_successes=opts.successes,
+                 max_set_timeslots=opts.max_timeslots, seed=opts.seed)
+    if opts.protocol is not None:
+        given["protocols"] = tuple(s.strip() for s in opts.protocol.split(",")
+                                   if s.strip())
+    if opts.Qc is not None:
+        given["qc_values"] = parse_int_list(opts.Qc)
+    if opts.p is not None:
+        given["p_values"] = parse_float_list(opts.p)
+    if opts.grid is not None:
+        given["grid_sizes"] = parse_int_list(opts.grid)
+    if opts.users is not None:
+        if opts.users.startswith("random:"):
+            given["n_users"] = int(opts.users.split(":", 1)[1])
+        else:
+            given["users"] = tuple(int(u) for u in opts.users.split(",") if u.strip())
+    return SweepSpec(**{**SCALES[opts.scale],
+                        **{k: v for k, v in given.items() if v is not None}})
 
 
 def _progress(cell) -> None:
@@ -168,38 +143,35 @@ def _progress(cell) -> None:
           f"successes={met.successes}{note}")
 
 
-def cmd_run(opts: SimpleNamespace) -> int:
+def cmd_run(opts: argparse.Namespace) -> int:
     spec = build_spec(opts)
-    out = Path(str(opts.out))
+    out = Path(opts.out)
     out.mkdir(parents=True, exist_ok=True)
-    workers = _workers(opts)
-    keep = str(getattr(opts, "trial_log", "successes")) != "none"
+    workers = resolve_workers(opts.workers)
     print(f"running sweep: {len(spec.protocols)} protocols x "
           f"{len(spec.qc_values)} cutoffs x {len(spec.p_values)} p x "
           f"{len(spec.grid_sizes)} grids ({workers} workers)")
-    cells = experiments.run_sweep(spec, workers=workers, keep_trials=keep,
+    cells = experiments.run_sweep(spec, workers=workers,
+                                  keep_trials=opts.trial_log != "none",
                                   progress=_progress)
     experiments.write_csv(cells, out / "results.csv")
     experiments.write_summary(cells, out / "summary.json",
                               extra={"spec": _spec_dict(spec)})
-    experiments.write_trials_jsonl(cells, out / "trials.jsonl",
-                                   which=str(getattr(opts, "trial_log", "successes")))
+    experiments.write_trials_jsonl(cells, out / "trials.jsonl", which=opts.trial_log)
     print(f"wrote {out / 'results.csv'}")
     return EXIT_OK
 
 
 def _spec_dict(spec: SweepSpec) -> dict:
-    d = dict(vars(spec))
-    for key, value in d.items():
-        if isinstance(value, tuple):
-            d[key] = list(value)
-    return d
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(spec).items()}
 
 
-def cmd_pareto(opts: SimpleNamespace) -> int:
-    out = Path(str(opts.out))
+def cmd_pareto(opts: argparse.Namespace) -> int:
+    out = Path(opts.out)
     summary_path = out / "summary.json"
     spec = build_spec(opts)
+    if len(spec.p_values) > 1 or len(spec.grid_sizes) > 1:
+        raise CliError("pareto analyses one --p and one --grid value")
     # an existing sweep is reused only if it was run for this very spec, and
     # never overwritten by a sweep of another one
     if not summary_path.exists():
@@ -237,17 +209,15 @@ def cmd_pareto(opts: SimpleNamespace) -> int:
     return EXIT_OK
 
 
-def cmd_distance(opts: SimpleNamespace) -> int:
-    spec = build_spec(opts, default_grid="3-6", default_p="0.3")
-    floor = getattr(opts, "floor", None)
-    floor = float(floor) if floor is not None else 2.0 / 3.0
-    out = Path(str(opts.out))
+def cmd_distance(opts: argparse.Namespace) -> int:
+    spec = build_spec(opts)
+    out = Path(opts.out)
     out.mkdir(parents=True, exist_ok=True)
-    workers = _workers(opts)
     print(f"distance experiment: corners of M in {list(spec.grid_sizes)}, "
-          f"p={spec.p_values[0]:g}, fidelity floor {floor:.4f}")
-    rows = experiments.distance_experiment(spec, fidelity_floor=floor,
-                                           workers=workers, progress=_progress)
+          f"p={spec.p_values[0]:g}, fidelity floor {opts.floor:.4f}")
+    rows = experiments.distance_experiment(spec, fidelity_floor=opts.floor,
+                                           workers=resolve_workers(opts.workers),
+                                           progress=_progress)
     experiments.write_distance_csv(rows, out / "distance.csv")
     series: dict[str, list] = {}
     for r in rows:
@@ -259,7 +229,7 @@ def cmd_distance(opts: SimpleNamespace) -> int:
         return EXIT_NO_DATA
     svgplot.distance_plot(series, out / "distance.svg",
                           title=f"corner users, p={spec.p_values[0]:g}, "
-                                f"fidelity floor {floor:.3g}")
+                                f"fidelity floor {opts.floor:.3g}")
     for r in rows:
         state = f"Qc={r.best_qc} DR={r.dr:.4g} F={r.mean_fidelity:.4f}" \
             if r.feasible else "infeasible"
@@ -275,18 +245,19 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
         if args.command == "validate":
             return cmd_validate(args)
-        opts = _merged_options(args)
+        if args.config:
+            # the file's flags go first, so the command line's win
+            args = parser.parse_args([args.command, *config_tokens(args), *argv[1:]])
         if args.command == "run":
-            return cmd_run(opts)
+            return cmd_run(args)
         if args.command == "pareto":
-            return cmd_pareto(opts)
-        if args.command == "distance":
-            return cmd_distance(opts)
-        raise CliError(f"unknown command {args.command!r}")
+            return cmd_pareto(args)
+        return cmd_distance(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

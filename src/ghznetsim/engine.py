@@ -46,7 +46,6 @@ class SimConfig:
     user_sets: int = 1
     target_successes: int = 100
     max_set_timeslots: int = 100_000
-    min_total_successes: int | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -106,11 +105,11 @@ def step(links: LinkState, state: protocols.ProtocolState,
     ages = links.ages
     ages += ages >= 0
     ages[ages >= links.q_c] = -1
-    if state.tracked_all:
+    planned = state.planned_idx
+    if planned is None:
         free_idx = np.nonzero(ages < 0)[0]
     else:
-        tracked = state.tracked
-        free_idx = tracked[ages[tracked] < 0]
+        free_idx = planned[ages[planned] < 0]
     if free_idx.size:
         p = links._p_uniform
         hits = rng.random(free_idx.size) < (p if p is not None else links._p[free_idx])
@@ -300,16 +299,14 @@ def aggregate(config: SimConfig, sets: tuple[SetMetrics, ...]) -> AggregateMetri
 
     A datapoint is marked invalid when any user set recorded zero successes
     (including infeasible static routes) or the total success count falls
-    below the configured minimum.
+    below two per user set.
     """
     computed = [s for s in sets if s.status != "skipped"]
     successes = sum(s.successes for s in computed)
     timeouts = sum(s.timeouts for s in computed)
     slots = sum(s.total_timeslots for s in computed)
     ok = [s for s in computed if s.successes > 0]
-    min_total = config.min_total_successes
-    if min_total is None:
-        min_total = 2 * len(sets)
+    min_total = 2 * len(sets)
     valid = (len(computed) == len(sets)
              and all(s.successes > 0 for s in computed)
              and successes >= min_total)

@@ -27,6 +27,8 @@ SCALES = {
     "full": dict(user_sets=100, target_successes=300, max_set_timeslots=1_000_000),
 }
 
+FIDELITY_FLOOR = 2.0 / 3.0      # the distance experiment's default floor
+
 
 def fmt(x) -> str:
     if isinstance(x, float):
@@ -46,10 +48,9 @@ class SweepSpec:
     delta: float = 0.99
     users: tuple[int, ...] | None = None     # explicit set; None samples
     n_users: int = 4
-    user_sets: int = 20
-    target_successes: int = 100
-    max_set_timeslots: int = 50_000
-    min_total_successes: int | None = None
+    user_sets: int = SCALES["desk"]["user_sets"]
+    target_successes: int = SCALES["desk"]["target_successes"]
+    max_set_timeslots: int = SCALES["desk"]["max_set_timeslots"]
     seed: int = 2024
 
     def __post_init__(self):
@@ -77,8 +78,7 @@ def cell_config(spec: SweepSpec, protocol: str, p: float, q_c: int, m: int,
         users=users, n_users=spec.n_users,
         user_sets=1 if users is not None else spec.user_sets,
         target_successes=spec.target_successes,
-        max_set_timeslots=spec.max_set_timeslots,
-        min_total_successes=spec.min_total_successes, seed=spec.seed)
+        max_set_timeslots=spec.max_set_timeslots, seed=spec.seed)
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None,
@@ -277,12 +277,14 @@ class DistanceRow:
     feasible: bool
 
 
-def distance_experiment(spec: SweepSpec, fidelity_floor: float = 2.0 / 3.0,
+def distance_experiment(spec: SweepSpec, fidelity_floor: float = FIDELITY_FLOOR,
                         workers: int | None = None, progress=None) -> list[DistanceRow]:
     """For each protocol and grid size, the cutoff maximising the rate while
-    the mean fidelity stays at or above the floor."""
+    the mean fidelity stays at or above the floor, at the spec's one p."""
     if not 0.0 <= fidelity_floor <= 1.0:
         raise ConfigError(f"fidelity floor {fidelity_floor} outside [0, 1]")
+    if len(spec.p_values) > 1:
+        raise ConfigError(f"distance experiment takes one p, not {list(spec.p_values)}")
     p = spec.p_values[0]
     # every cell's configuration is built, and so checked, before any cell runs
     plan = [(m, protocol, [cell_config(spec, protocol, p, q_c, m,

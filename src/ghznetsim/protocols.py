@@ -45,13 +45,11 @@ class ProtocolState:
     users: tuple[int, ...]
     planned_route: routing.RoutingSolution | None
     center: int | None
-    tracked: np.ndarray          # edge indices where generation is attempted
-    planned_idx: np.ndarray | None   # planned-route edge indices (single path)
+    # planned-route edge indices, the only edges where a single-path protocol
+    # attempts generation; None for multi-path protocols, which try every edge
+    planned_idx: np.ndarray | None
     user_incidence: tuple[np.ndarray, ...]   # per user, incident edge indices
     center_incidence: np.ndarray | None
-    # plain flags for the per-timeslot hot path
-    single_path: bool = False
-    tracked_all: bool = False
 
 
 def initialize(kind: Protocol | str, g: NetworkGraph, users) -> ProtocolState:
@@ -67,7 +65,6 @@ def initialize(kind: Protocol | str, g: NetworkGraph, users) -> ProtocolState:
         planned = routing.select_single_path(g, users, kind.routing_kind)
         center = planned.center
         planned_idx = np.array(sorted(g.edge_index[e] for e in planned.edges))
-        tracked = planned_idx
     else:
         if kind is Protocol.MP_S:
             # the centre must be able to host one disjoint branch per user,
@@ -80,7 +77,6 @@ def initialize(kind: Protocol | str, g: NetworkGraph, users) -> ProtocolState:
             except TopologyError as exc:
                 raise routing.NoRouteError(
                     f"no viable centre node for {len(users)} users") from exc
-        tracked = np.arange(g.n_edges)
 
     user_inc = tuple(
         np.array(sorted(i for i, e in enumerate(g.edges) if u in e)) for u in users
@@ -89,10 +85,8 @@ def initialize(kind: Protocol | str, g: NetworkGraph, users) -> ProtocolState:
     if center is not None and kind is Protocol.MP_S:
         center_inc = np.array(sorted(i for i, e in enumerate(g.edges) if center in e))
     return ProtocolState(kind=kind, users=users, planned_route=planned,
-                         center=center, tracked=tracked, planned_idx=planned_idx,
-                         user_incidence=user_inc, center_incidence=center_inc,
-                         single_path=kind.is_single_path,
-                         tracked_all=len(tracked) == g.n_edges)
+                         center=center, planned_idx=planned_idx,
+                         user_incidence=user_inc, center_incidence=center_inc)
 
 
 def try_complete(state: ProtocolState, links, delta: float) -> routing.RoutingSolution | None:
@@ -103,7 +97,7 @@ def try_complete(state: ProtocolState, links, delta: float) -> routing.RoutingSo
     checks reject most infeasible timeslots before any graph algorithm runs.
     """
     ages = links.ages
-    if state.single_path:
+    if state.planned_idx is not None:
         if (ages[state.planned_idx] >= 0).all():
             return state.planned_route
         return None

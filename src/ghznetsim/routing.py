@@ -30,6 +30,8 @@ Edge = tuple[int, int]
 # stand-in for an infinite cost component; keeps residual-arc arithmetic finite
 _HUGE_COST = 1e18
 _INF = math.inf
+# the exact Steiner DP is exponential in the number of terminals
+_EXACT_TERMINALS = 6
 
 
 class RoutingError(ValueError):
@@ -403,13 +405,14 @@ def exact_steiner_tree(edges: Sequence[Edge], values: Mapping[Edge, float],
     """Tree spanning the terminals with maximal edge-value product, exactly.
 
     Dynamic programming over terminal subsets; exponential in the number of
-    terminals, so limited to at most 6.
+    terminals, so limited to at most ``_EXACT_TERMINALS``.
     """
     terminals = sorted(set(int(t) for t in terminals))
     if len(terminals) < 2:
         raise RoutingError("need at least two terminals")
-    if len(terminals) > 6:
-        raise UnsupportedSizeError("exact Steiner search limited to 6 terminals")
+    if len(terminals) > _EXACT_TERMINALS:
+        raise UnsupportedSizeError(
+            f"exact Steiner search limited to {_EXACT_TERMINALS} terminals")
     net = _Net(edge_cost_map(edges, values, secondary))
     for t in terminals:
         if t not in net.index:
@@ -462,10 +465,21 @@ def approx_steiner_tree(edges: Sequence[Edge], values: Mapping[Edge, float],
     # overlapping closure paths can create cycles; thin them out with the DP
     node_count = len({n for e in tree for n in e})
     if len(tree) != node_count - 1:
-        sub_values = {e: values[e] for e in tree}
-        return exact_steiner_tree(sorted(tree), sub_values, terminals) \
-            if len(terminals) <= 6 else _spanning_fallback(tree, values, terminals)
+        if len(terminals) > _EXACT_TERMINALS:
+            return _spanning_fallback(tree, values, terminals)
+        return exact_steiner_tree(sorted(tree), {e: values[e] for e in tree}, terminals)
     return _tree_solution(tree, terminals)
+
+
+def steiner_tree(edges: Sequence[Edge], values: Mapping[Edge, float],
+                 terminals: Sequence[int],
+                 secondary: Mapping[Edge, float] | None = None) -> RoutingSolution:
+    """Maximum-product Steiner tree: exact up to ``_EXACT_TERMINALS``
+    terminals, the metric-closure approximation (which has no secondary
+    objective) beyond."""
+    if len(set(int(t) for t in terminals)) <= _EXACT_TERMINALS:
+        return exact_steiner_tree(edges, values, terminals, secondary=secondary)
+    return approx_steiner_tree(edges, values, terminals)
 
 
 def _spanning_fallback(tree: set[Edge], values: Mapping[Edge, float],
@@ -683,9 +697,7 @@ def select_single_path(g: NetworkGraph, users: Sequence[int],
     p_map = {e: p for e, p in zip(g.edges, g.gen_prob)}
     w_map = {e: w for e, w in zip(g.edges, g.w0)}
     if kind == "tree":
-        if len(users) <= 6:
-            return exact_steiner_tree(g.edges, p_map, users, secondary=w_map)
-        return approx_steiner_tree(g.edges, p_map, users)
+        return steiner_tree(g.edges, p_map, users, secondary=w_map)
     if kind != "star":
         raise RoutingError(f"unknown routing kind {kind!r}")
     net = _Net(edge_cost_map(g.edges, p_map, w_map))
@@ -737,9 +749,7 @@ def select_multipath(live_edges: Sequence[Edge], werner: Mapping[Edge, float],
     if kind == "tree":
         if not users_connected(live_edges, users):
             return None
-        if len(users) <= 6:
-            return exact_steiner_tree(live_edges, werner, users)
-        return approx_steiner_tree(live_edges, werner, users)
+        return steiner_tree(live_edges, werner, users)
     if kind != "star":
         raise RoutingError(f"unknown routing kind {kind!r}")
     if center is None:

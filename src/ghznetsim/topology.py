@@ -152,11 +152,7 @@ def steiner_distance(g: NetworkGraph, users: Sequence[int]) -> int:
     from . import routing
 
     unit = {e: 1.0 for e in g.edges}
-    if len(set(terminals)) <= 6:
-        solution = routing.exact_steiner_tree(g.edges, unit, terminals)
-    else:
-        solution = routing.approx_steiner_tree(g.edges, unit, terminals)
-    return len(solution.edges)
+    return len(routing.steiner_tree(g.edges, unit, terminals).edges)
 
 
 def centroid_node(g: NetworkGraph, users: Sequence[int],

@@ -3,8 +3,10 @@
 Every criterion prints one PASS/FAIL line. The heavy Monte Carlo sweeps are
 deterministic for a fixed spec and program, so their results are cached on
 disk under tests/.sweep_cache, keyed on the spec and a SHA-256 of the package
-source (src/ghznetsim/*.py). Any source change invalidates the cache by
-itself; set GHZNETSIM_TEST_CACHE=0 to bypass it altogether.
+source (src/ghznetsim/*.py). Each entry's name starts with the source digest,
+so a source change invalidates the cache by itself, and writing an entry
+deletes those of any other source; set GHZNETSIM_TEST_CACHE=0 to bypass the
+cache altogether.
 """
 
 import hashlib
@@ -40,12 +42,15 @@ def _cached(key: str, builder):
     if os.environ.get("GHZNETSIM_TEST_CACHE", "1") == "0":
         return builder()
     CACHE_DIR.mkdir(exist_ok=True)
-    digest = hashlib.sha256(f"{_source_digest()}:{key}".encode()).hexdigest()[:24]
-    path = CACHE_DIR / f"{digest}.pkl"
+    source = _source_digest()[:16]
+    path = CACHE_DIR / f"{source}-{hashlib.sha256(key.encode()).hexdigest()[:24]}.pkl"
     if path.exists():
         with open(path, "rb") as fh:
             return pickle.load(fh)
     value = builder()
+    for stale in CACHE_DIR.glob("*.pkl"):
+        if not stale.name.startswith(f"{source}-"):
+            stale.unlink(missing_ok=True)
     with open(path, "wb") as fh:
         pickle.dump(value, fh)
     return value

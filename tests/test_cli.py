@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from ghznetsim import cli
+from ghznetsim.experiments import SCALES, SweepSpec
 
 
 def run_cli(*argv):
@@ -103,6 +104,56 @@ def test_bad_sweep_value_exits_2_before_any_cell(tmp_path, capsys, argv):
             "--out", str(tmp_path / "x"))
     assert run_cli(argv[0], *base, *argv[1:]) == cli.EXIT_CONFIG
     assert "DR=" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ("distance", "--p", "0.3,1.5"),
+    ("pareto", "--p", "0.3,0.5"),
+    ("pareto", "--grid", "3,4"),
+])
+def test_analysis_of_one_axis_value_rejects_more(tmp_path, capsys, argv):
+    # distance and pareto analyse one p (pareto also one grid): a second
+    # value is refused, not run and then ignored
+    out = tmp_path / "x"
+    base = ("--protocol", "mp-t", "--Qc", "1", "--grid", "3", "--p", "0.3",
+            "--user-sets", "1", "--successes", "2", "--out", str(out))
+    assert run_cli(argv[0], *base, *argv[1:]) == cli.EXIT_CONFIG
+    assert "DR=" not in capsys.readouterr().out
+    assert not (out / "results.csv").exists()
+    assert not (out / "distance.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["scale = huge", "trial_log = everything"])
+def test_config_value_is_checked_like_its_flag(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"protocol = mp-t\nQc = 2\ngrid = 3\nuser_sets = 1\n"
+                   f"successes = 2\n{line}\n")
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--config", str(cfg), "--out", str(out))
+    assert exc.value.code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "invalid choice" in captured.err and "DR=" not in captured.out
+    assert not out.exists()
+
+
+def test_config_values_parse_as_single_tokens(tmp_path):
+    # a value that starts with '-' is still the key's value, not a flag
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("Qc = 2\np = -1,5\n")
+    args = cli.build_parser().parse_args(["run", "--config", str(cfg)])
+    tokens = cli.config_tokens(args)
+    assert tokens == ["--Qc=2", "--p=-1,5"]
+    assert cli.build_parser().parse_args(["run", *tokens]).p == "-1,5"
+
+
+def test_bare_commands_use_the_sweep_defaults():
+    parser = cli.build_parser()
+    assert cli.build_spec(parser.parse_args(["run"])) == SweepSpec()
+    assert cli.build_spec(parser.parse_args(["run", "--scale", "full"])) == \
+        SweepSpec(**SCALES["full"])
+    spec = cli.build_spec(parser.parse_args(["distance"]))
+    assert spec == SweepSpec(grid_sizes=(3, 4, 5, 6), p_values=(0.3,))
 
 
 def test_package_imports_without_scipy():

@@ -19,14 +19,14 @@ def test_initialize_sp_t_plans_min_steiner():
     state = protocols.initialize("sp-t", g, users)
     assert state.planned_route is not None
     assert state.planned_route.size == topology.steiner_distance(g, users)
-    assert len(state.tracked) == state.planned_route.size
+    assert len(state.planned_idx) == state.planned_route.size
 
 
 def test_initialize_mp_t_tracks_all_edges():
     g = topology.make_grid(6, 0.1, 0.987)
     state = protocols.initialize("mp-t", g, (0, 7, 22, 35))
     assert state.planned_route is None
-    assert len(state.tracked) == 60
+    assert state.planned_idx is None
 
 
 def test_initialize_mp_s_center_is_centroid():
