@@ -1,7 +1,7 @@
 """A scaled-down rate/fidelity trade-off sweep with a plotted frontier.
 
 Uses a friendlier generation probability than the full study so it finishes
-in well under a minute. Writes mini_pareto.svg next to this script.
+in well under a minute. Writes mini_pareto.svg to the working directory.
 
 Run:  python demos/mini_pareto.py
 """
@@ -41,6 +41,6 @@ print(f"\nmatched comparisons (tree): speedup {stats['tree_speedup']:.2f}, "
 
 series = {proto: [(pt["dr"], pt["fidelity"], str(pt["q_c"])) for pt in pts]
           for proto, pts in stats["points"].items() if pts}
-out = Path(__file__).parent / "mini_pareto.svg"
+out = Path("mini_pareto.svg")
 svgplot.pareto_scatter(series, out, title="mini sweep: rate vs fidelity")
 print(f"wrote {out}")

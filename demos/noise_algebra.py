@@ -21,7 +21,7 @@ chain = [0.987] * 5
 swapped = statesim.pipeline_fidelity([(0, 5, chain)], [0, 5], [])
 print(f"  five links at w = 0.987: w_chain = {math.prod(chain):.5f}, "
       f"F = {noise.werner_to_fidelity(math.prod(chain)):.5f} "
-      f"(state simulator {swapped:.5f})")
+      f"(dense oracle {swapped:.5f})")
 
 print("\n=== Star fusion fidelity (one Bell state per branch) ===")
 for k in (3, 4, 5):

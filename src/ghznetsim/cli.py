@@ -26,6 +26,14 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as a ``CliError``, like every other configuration
+    error, instead of exiting; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message} (see {self.prog} --help)")
+
+
 def parse_int_list(text: str) -> tuple[int, ...]:
     """Accepts "5", "1,2,3" or an inclusive range "2-8"."""
     text = text.strip()
@@ -45,10 +53,12 @@ def parse_float_list(text: str) -> tuple[float, ...]:
 def config_tokens(args: argparse.Namespace) -> list[str]:
     """The flags that the ``--config`` file stands for: one ``--key=value``
     token per key = value line, where a key is any other option of the
-    command; '#' starts a comment."""
+    command; '#' starts a comment. Each token is parsed as its flag, so a
+    bad value is reported with its file and line."""
     path = args.config
     known = {dest.lower(): dest for dest in vars(args)
              if dest not in ("command", "config")}
+    parser = build_parser()
     tokens = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -59,14 +69,19 @@ def config_tokens(args: argparse.Namespace) -> list[str]:
         key, value = line.split("=", 1)
         key = key.strip().lower().replace("-", "_")
         if key not in known:
-            raise CliError(f"{path}: unknown key {key}")
+            raise CliError(f"{path}:{lineno}: unknown key {key}")
         value = value.strip().strip('"').strip("'")
-        tokens.append(f"--{known[key].replace('_', '-')}={value}")
+        token = f"--{known[key].replace('_', '-')}={value}"
+        try:
+            parser.parse_args([args.command, token])
+        except CliError as exc:
+            raise CliError(f"{path}:{lineno}: {exc}") from None
+        tokens.append(token)
     return tokens
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ghznetsim",
         description="Monte Carlo simulation of GHZ-state distribution "
                     "over noisy quantum networks")
@@ -246,8 +261,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "validate":
             return cmd_validate(args)
         if args.config:

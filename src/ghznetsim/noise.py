@@ -45,8 +45,8 @@ def werner_to_fidelity(w: float) -> float:
 def star_ghz_fidelity(branch_fidelities: Sequence[float]) -> float:
     """Closed-form GHZ fidelity when fusing one Bell state per branch of a star.
 
-    Valid for three or more branches; the two-user case is a plain Bell state
-    and is handled by the state simulator instead.
+    Valid for three or more branches; the two-user case is a plain Bell state,
+    which ``werner_tree_fidelity`` covers with every other tree.
     """
     fs = [check_fidelity(f) for f in branch_fidelities]
     if len(fs) < 3:

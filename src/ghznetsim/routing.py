@@ -462,12 +462,10 @@ def approx_steiner_tree(edges: Sequence[Edge], values: Mapping[Edge, float],
             tree.add(canon(net.nodes[p], net.nodes[x]))
             x = p
     tree = _prune_leaves(tree, set(terminals))
-    # overlapping closure paths can create cycles; thin them out with the DP
+    # overlapping closure paths can create cycles; thin them out
     node_count = len({n for e in tree for n in e})
     if len(tree) != node_count - 1:
-        if len(terminals) > _EXACT_TERMINALS:
-            return _spanning_fallback(tree, values, terminals)
-        return exact_steiner_tree(sorted(tree), {e: values[e] for e in tree}, terminals)
+        return _spanning_fallback(tree, values, terminals)
     return _tree_solution(tree, terminals)
 
 

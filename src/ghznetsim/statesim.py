@@ -1,176 +1,153 @@
-"""Exact GHZ fidelity via diagonal mixtures in the GHZ basis: the reference
-that the closed form ``noise.werner_tree_fidelity`` is checked against.
+"""Reference GHZ fidelity from explicit density matrices: the independent
+oracle that the closed form ``noise.werner_tree_fidelity`` is checked against.
 
-States generated from noisy Bell states by swapping and fusion stay diagonal
-in the GHZ basis, so they are fully described by a weight per basis element.
-Basis elements of an n-qubit state are labelled ``(b, k)``: ``b`` is the
-phase-error bit (parity of Z errors) and ``k`` packs bit-flip errors on
-qubits ``1..n-1`` relative to qubit 0. Flipping every qubit of a GHZ state
-is a stabilizer, so a flip pattern and its complement are the same class;
-the canonical representative keeps qubit 0 unflipped. The packed index is
-``(b << (n-1)) | k`` and index 0 is the target state.
+Everything here works on explicit density matrices: links are Werner
+matrices, swaps are Bell-state measurements, fusion is a CNOT followed by a
+Z measurement, removal is an X measurement, and measurement outcomes are
+summed with their classically tracked corrections applied. Nothing is
+assumed about the form of the intermediate states.
 
-Swap and fusion act as convolutions on these labels:
-
-* swap XORs the two Bell labels;
-* fusion of states A and B (joining qubit ``u`` of A with qubit ``v`` of B
-  through a CNOT and a Z measurement of ``v``, with the usual classically
-  tracked correction) XORs the phase bits, keeps A's flips, and complements
-  B's remaining flips exactly when the flip bits of ``u`` and ``v`` differ;
-* removing a qubit by an X measurement merges label pairs that differ only
-  on the removed qubit.
-
-Every rule is locked against the dense density-matrix oracle in the tests.
+Qubit 0 is the most significant bit of the computational-basis index.
+Matrices grow as ``4**n``, so pipelines are limited to ``MAX_ORACLE_QUBITS``
+qubits, counted as two per link.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .noise import check_werner
 
-_WEIGHT_SUM_TOL = 1e-12
-_NEGATIVE_CLAMP = -1e-14
+MAX_ORACLE_QUBITS = 16
 
 
 class StateError(ValueError):
-    """Raised for malformed diagonal states or invalid reductions."""
+    """Raised for malformed branch structures or invalid reductions."""
 
 
-class GhzDiagonalState:
-    """Diagonal mixture over the n-qubit GHZ basis."""
-
-    def __init__(self, n: int, weights: Sequence[float] | np.ndarray):
-        if n < 2:
-            raise StateError(f"need at least 2 qubits, got {n}")
-        w = np.asarray(weights, dtype=np.float64).copy()
-        if w.shape != (2 ** n,):
-            raise StateError(f"expected {2 ** n} weights for {n} qubits, got {w.shape}")
-        if w.min() < _NEGATIVE_CLAMP:
-            raise StateError(f"negative weight {w.min()}")
-        np.clip(w, 0.0, None, out=w)
-        total = float(w.sum())
-        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-            raise StateError(f"weights sum to {total}, not 1")
-        self.n = int(n)
-        self.weights = w
-
-    def fidelity(self) -> float:
-        """Overlap with the target GHZ state: the weight of label 0."""
-        return float(self.weights[0])
-
-    def __repr__(self) -> str:
-        return f"GhzDiagonalState(n={self.n}, fidelity={self.fidelity():.6g})"
+class UnsupportedSizeError(ValueError):
+    """Instance too large for the dense oracle."""
 
 
-class BellDiagonalState(GhzDiagonalState):
-    """Two-qubit special case; weight order (phi+, psi+, phi-, psi-)."""
+def ghz_ket(n: int) -> np.ndarray:
+    ket = np.zeros(2 ** n)
+    ket[0] = ket[-1] = 1.0 / np.sqrt(2.0)
+    return ket
 
-    def __init__(self, weights: Sequence[float] | np.ndarray):
-        super().__init__(2, weights)
+
+def ghz_fidelity(rho: np.ndarray) -> float:
+    """Overlap with the GHZ state: half the sum of the four corner entries."""
+    return 0.5 * float(rho[0, 0] + rho[0, -1] + rho[-1, 0] + rho[-1, -1])
 
 
-def werner_state(w: float) -> BellDiagonalState:
-    """Bell-diagonal form of a Werner state with parameter ``w``."""
+# Bell kets times sqrt(2), in outcome order phi+, psi+, phi-, psi-; with
+# integer entries every projector 0.5 * outer(s, s) is exact in floats
+_BELL_SIGNS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]],
+                       dtype=np.float64)
+
+
+def werner_dm(w: float) -> np.ndarray:
+    """Two-qubit Werner density matrix with parameter ``w``."""
     w = check_werner(w)
-    rest = (1.0 - w) / 4.0
-    return BellDiagonalState([w + rest, rest, rest, rest])
+    phi = _BELL_SIGNS[0]
+    return w * 0.5 * np.outer(phi, phi) + (1.0 - w) / 4.0 * np.eye(4)
 
 
-def perfect_ghz(n: int) -> GhzDiagonalState:
-    weights = np.zeros(2 ** n)
-    weights[0] = 1.0
-    return GhzDiagonalState(n, weights)
+def _block(rho: np.ndarray, n: int, row_fix: dict[int, int], col_fix: dict[int, int]) -> np.ndarray:
+    """Submatrix with some qubits projected onto computational states and dropped."""
+    rows = tuple(row_fix.get(q, slice(None)) for q in range(n))
+    cols = tuple(col_fix.get(q, slice(None)) for q in range(n))
+    m = 2 ** (n - len(row_fix))
+    return rho.reshape((2,) * (2 * n))[rows + cols].reshape(m, m)
 
 
-def maximally_mixed(n: int) -> GhzDiagonalState:
-    return GhzDiagonalState(n, np.full(2 ** n, 1.0 / 2 ** n))
+def apply_x(rho: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    perm = np.arange(2 ** n) ^ (1 << (n - 1 - qubit))
+    return rho[np.ix_(perm, perm)]
 
 
-def swap(a: GhzDiagonalState, b: GhzDiagonalState) -> BellDiagonalState:
-    """Bell-state measurement joining two links into one longer link."""
-    if a.n != 2 or b.n != 2:
-        raise StateError("swap acts on two-qubit states")
-    out = np.zeros(4)
-    for i in range(4):
-        for j in range(4):
-            out[i ^ j] += a.weights[i] * b.weights[j]
-    return BellDiagonalState(out)
+def apply_z(rho: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    signs = 1.0 - 2.0 * ((np.arange(2 ** n) >> (n - 1 - qubit)) & 1)
+    return rho * np.outer(signs, signs)
 
 
-def _flip_bit(k: np.ndarray, qubit: int) -> np.ndarray:
-    """Flip bit of ``qubit`` in packed patterns ``k`` (qubit 0 is never flipped)."""
-    if qubit == 0:
-        return np.zeros_like(k)
-    return (k >> (qubit - 1)) & 1
+def apply_cnot(rho: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
+    x = np.arange(2 ** n)
+    ctrl = (x >> (n - 1 - control)) & 1
+    perm = x ^ (ctrl << (n - 1 - target))
+    return rho[np.ix_(perm, perm)]
 
 
-def fuse(a: GhzDiagonalState, b: GhzDiagonalState,
-         qubit_a: int = 0, qubit_b: int = 0) -> GhzDiagonalState:
-    """Fuse two GHZ-class states into one on ``a.n + b.n - 1`` qubits.
+def measure_bell(rho: np.ndarray, q1: int, q2: int, n: int) -> list[np.ndarray]:
+    """Unnormalized post-measurement states for the four Bell outcomes on (q1, q2).
 
-    Joins ``qubit_a`` of ``a`` with ``qubit_b`` of ``b``; ``qubit_b`` is
-    measured out. Output qubit order: all of ``a``, then ``b`` minus
-    ``qubit_b``.
+    The measured qubits are traced out; remaining qubits keep relative order.
     """
-    n1, n2 = a.n, b.n
-    if not 0 <= qubit_a < n1 or not 0 <= qubit_b < n2:
-        raise StateError("fusion qubit index out of range")
-    ia = np.arange(2 ** n1)
-    ib = np.arange(2 ** n2)
-    b_a, k_a = ia >> (n1 - 1), ia & ((1 << (n1 - 1)) - 1)
-    b_b, k_b = ib >> (n2 - 1), ib & ((1 << (n2 - 1)) - 1)
-
-    # flips of B's kept qubits, repacked LSB-first in kept order
-    kept = [q for q in range(n2) if q != qubit_b]
-    k_b_kept = np.zeros_like(k_b)
-    for pos, q in enumerate(kept):
-        k_b_kept |= _flip_bit(k_b, q) << pos
-
-    x = _flip_bit(k_a, qubit_a)[:, None] ^ _flip_bit(k_b, qubit_b)[None, :]
-    kept_mask = (1 << (n2 - 1)) - 1
-    k_b_out = k_b_kept[None, :] ^ (x * kept_mask)
-
-    n_out = n1 + n2 - 1
-    idx = ((b_a[:, None] ^ b_b[None, :]) << (n_out - 1)) \
-        | (k_b_out << (n1 - 1)) | k_a[:, None]
-    out = np.zeros(2 ** n_out)
-    np.add.at(out, idx, a.weights[:, None] * b.weights[None, :])
-    return GhzDiagonalState(n_out, out)
+    outcomes = []
+    for signs in _BELL_SIGNS:
+        m = np.zeros((2 ** (n - 2), 2 ** (n - 2)))
+        for a, b, c, d in itertools.product((0, 1), repeat=4):
+            coeff = 0.5 * signs[2 * a + b] * signs[2 * c + d]
+            if coeff != 0.0:
+                m += coeff * _block(rho, n, {q1: a, q2: b}, {q1: c, q2: d})
+        outcomes.append(m)
+    return outcomes
 
 
-def remove_qubit(g: GhzDiagonalState, qubit: int) -> GhzDiagonalState:
-    """Remove one qubit by an X measurement with tracked correction."""
-    if g.n < 3:
+def measure_x(rho: np.ndarray, qubit: int, n: int) -> list[np.ndarray]:
+    """Unnormalized reduced states for X-measurement outcomes (+, -)."""
+    b00 = _block(rho, n, {qubit: 0}, {qubit: 0})
+    b01 = _block(rho, n, {qubit: 0}, {qubit: 1})
+    b10 = _block(rho, n, {qubit: 1}, {qubit: 0})
+    b11 = _block(rho, n, {qubit: 1}, {qubit: 1})
+    plus = 0.5 * (b00 + b01 + b10 + b11)
+    minus = 0.5 * (b00 - b01 - b10 + b11)
+    return [plus, minus]
+
+
+def measure_z(rho: np.ndarray, qubit: int, n: int) -> list[np.ndarray]:
+    """Unnormalized reduced states for Z-measurement outcomes (0, 1)."""
+    return [_block(rho, n, {qubit: 0}, {qubit: 0}),
+            _block(rho, n, {qubit: 1}, {qubit: 1})]
+
+
+def swap_dense(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
+    """Entanglement swap of links (a, b) and (b, c), output on (a, c).
+
+    Each Bell outcome gets the correction on c (I, X, Z, then X and Z) that
+    makes swapping two perfect links yield a perfect link.
+    """
+    phi_p, psi_p, phi_m, psi_m = measure_bell(np.kron(rho1, rho2), 1, 2, 4)
+    return (phi_p + apply_x(psi_p, 1, 2) + apply_z(phi_m, 1, 2)
+            + apply_z(apply_x(psi_m, 1, 2), 1, 2))
+
+
+def fuse_dense(rho_a: np.ndarray, n_a: int, rho_b: np.ndarray, n_b: int,
+               qubit_a: int, qubit_b: int) -> np.ndarray:
+    """Fusion joining ``qubit_a`` of A and ``qubit_b`` of B; B's qubit is measured.
+
+    Output qubit order: all of A, then B minus ``qubit_b``.
+    """
+    n = n_a + n_b
+    rho = np.kron(rho_a, rho_b)
+    target = n_a + qubit_b
+    rho = apply_cnot(rho, qubit_a, target, n)
+    m0, m1 = measure_z(rho, target, n)
+    # a "1" outcome flips every surviving B qubit
+    for q in range(n_a, n - 1):
+        m1 = apply_x(m1, q, n - 1)
+    return m0 + m1
+
+
+def remove_dense(rho: np.ndarray, n: int, qubit: int) -> np.ndarray:
+    """X-basis removal of one qubit; "-" outcome gets a Z correction."""
+    if n < 3:
         raise StateError("cannot remove a qubit from a two-qubit state")
-    if not 0 <= qubit < g.n:
-        raise StateError(f"qubit {qubit} out of range")
-    n = g.n
-    i = np.arange(2 ** n)
-    b, k = i >> (n - 1), i & ((1 << (n - 1)) - 1)
-    if qubit == 0:
-        # new reference is old qubit 1; complement patterns where it was flipped
-        full_mask = (1 << (n - 1)) - 1
-        bit0 = k & 1
-        k_out = (k ^ (bit0 * full_mask)) >> 1
-    else:
-        pos = qubit - 1
-        low = k & ((1 << pos) - 1)
-        k_out = low | ((k >> (pos + 1)) << pos)
-    idx = (b << (n - 2)) | k_out
-    out = np.zeros(2 ** (n - 1))
-    np.add.at(out, idx, g.weights)
-    return GhzDiagonalState(n - 1, out)
-
-
-def _swap_branch(werners: Sequence[float]) -> BellDiagonalState:
-    """Reduce a path of links to one Bell state by repeated swapping."""
-    state = werner_state(werners[0])
-    for w in werners[1:]:
-        state = swap(state, werner_state(w))
-    return state
+    plus, minus = measure_x(rho, qubit, n)
+    return plus + apply_z(minus, 0, n - 1)
 
 
 def pipeline_fidelity(branches: Sequence[tuple[int, int, Sequence[float]]],
@@ -179,56 +156,58 @@ def pipeline_fidelity(branches: Sequence[tuple[int, int, Sequence[float]]],
     """Fidelity of the GHZ state built from a branch decomposition.
 
     Each branch is ``(node_a, node_b, edge_werner_values)``. Every branch is
-    first collapsed to a Bell state by swapping. Fragments sharing a node are
+    first collapsed to a Bell pair by swapping. Fragments sharing a node are
     then fused there (nodes processed in ascending order) and finally the
     qubits held at ``removal_nodes`` are measured out, leaving one qubit per
-    user.
+    user, which is projected onto the GHZ state.
     """
     users = sorted(set(users))
     removal = sorted(set(removal_nodes) - set(users))
     if not branches:
         raise StateError("no branches to realize")
+    if any(len(werners) == 0 for _, _, werners in branches):
+        raise StateError("empty branch")
+    total_qubits = 2 * sum(len(werners) for _, _, werners in branches)
+    if total_qubits > MAX_ORACLE_QUBITS:
+        raise UnsupportedSizeError(
+            f"{total_qubits} qubits exceeds the dense oracle limit of {MAX_ORACLE_QUBITS}")
 
-    # fragment = [state, node of qubit 0, node of qubit 1, ...]
-    fragments: list[list] = []
+    fragments: list[tuple[np.ndarray, list[int]]] = []
     for node_a, node_b, werners in branches:
-        if len(werners) == 0:
-            raise StateError("empty branch")
-        fragments.append([_swap_branch(list(werners)), node_a, node_b])
+        rho = werner_dm(werners[0])
+        for w in werners[1:]:
+            rho = swap_dense(rho, werner_dm(w))
+        fragments.append((rho, [node_a, node_b]))
 
-    changed = True
-    while changed and len(fragments) > 1:
-        changed = False
+    while len(fragments) > 1:
         node_map: dict[int, list[int]] = {}
-        for fi, frag in enumerate(fragments):
-            for node in frag[1:]:
+        for fi, (_, nodes) in enumerate(fragments):
+            # a fragment holding a node twice closed a cycle; never fuse it
+            # with itself
+            for node in set(nodes):
                 node_map.setdefault(node, []).append(fi)
-        for node in sorted(node_map):
-            holders = node_map[node]
-            if len(holders) >= 2:
-                fa, fb = holders[0], holders[1]
-                frag_a, frag_b = fragments[fa], fragments[fb]
-                qa = frag_a[1:].index(node)
-                qb = frag_b[1:].index(node)
-                fused = fuse(frag_a[0], frag_b[0], qa, qb)
-                nodes = frag_a[1:] + [x for i, x in enumerate(frag_b[1:]) if i != qb]
-                fragments[fa] = [fused] + nodes
-                del fragments[fb]
-                changed = True
-                break
+        shared = [node for node in sorted(node_map) if len(node_map[node]) >= 2]
+        if not shared:
+            break
+        node = shared[0]
+        fa, fb = node_map[node][:2]
+        rho_a, nodes_a = fragments[fa]
+        rho_b, nodes_b = fragments[fb]
+        qa, qb = nodes_a.index(node), nodes_b.index(node)
+        rho = fuse_dense(rho_a, len(nodes_a), rho_b, len(nodes_b), qa, qb)
+        fragments[fa] = (rho, nodes_a + [x for i, x in enumerate(nodes_b) if i != qb])
+        del fragments[fb]
 
     if len(fragments) != 1:
         raise StateError("branches do not form a connected structure")
-    state, nodes = fragments[0][0], fragments[0][1:]
+    rho, nodes = fragments[0]
     if sorted(nodes) != sorted(users + removal):
         raise StateError("branch endpoints do not match users plus removal nodes")
     for node in removal:
         q = nodes.index(node)
-        state = remove_qubit(state, q)
+        rho = remove_dense(rho, len(nodes), q)
         nodes.pop(q)
-    if sorted(nodes) != users:
-        raise StateError("leftover qubits after removal do not match the users")
-    return state.fidelity()
+    return ghz_fidelity(rho)
 
 
 def tree_ghz_fidelity(edges: Sequence[tuple[int, int]],

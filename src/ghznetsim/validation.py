@@ -13,7 +13,7 @@ import statistics
 
 import numpy as np
 
-from . import dense, engine, noise, routing, statesim, topology
+from . import engine, noise, routing, statesim, topology
 
 
 # ---------------------------------------------------------------------------
@@ -120,22 +120,18 @@ def random_tree_instance(rng, max_edges=7, max_users=4):
 # suites
 
 def suite_state_oracle(n_trees: int = 200, tol: float = 1e-10, seed: int = 99):
-    """Closed-form, diagonal and dense density-matrix tree fidelities agree."""
+    """Closed-form tree fidelities against the dense density-matrix oracle."""
     rng = np.random.default_rng(seed)
-    worst_diag = worst_dense = 0.0
+    worst = 0.0
     for _ in range(n_trees):
         edges, werner, users = random_tree_instance(rng)
         branches, _ = routing.decompose_tree_branches(edges, users)
         f_closed = noise.werner_tree_fidelity(
             [(a, b, math.prod(ws)) for a, b, ws in routing.branch_specs(branches, werner)],
             users)
-        f_diag = statesim.tree_ghz_fidelity(edges, werner, users)
-        f_dense = dense.dense_oracle_fidelity(edges, werner, users)
-        worst_diag = max(worst_diag, abs(f_closed - f_diag))
-        worst_dense = max(worst_dense, abs(f_closed - f_dense), abs(f_diag - f_dense))
-    return max(worst_diag, worst_dense) < tol, (
-        f"max |closed form - diagonal| = {worst_diag:.3e}, max difference to dense "
-        f"= {worst_dense:.3e} over {n_trees} trees")
+        f_dense = statesim.tree_ghz_fidelity(edges, werner, users)
+        worst = max(worst, abs(f_closed - f_dense))
+    return worst < tol, f"max |closed form - dense| = {worst:.3e} over {n_trees} trees"
 
 
 def suite_star_formula(n_samples: int = 100, tol: float = 1e-12, seed: int = 7):
@@ -148,7 +144,7 @@ def suite_star_formula(n_samples: int = 100, tol: float = 1e-12, seed: int = 7):
             closed = noise.star_ghz_fidelity([noise.werner_to_fidelity(w) for w in ws])
             edges = [(0, j + 1) for j in range(k)]
             werner = {e: float(w) for e, w in zip(edges, ws)}
-            f_dense = dense.dense_oracle_fidelity(edges, werner, list(range(1, k + 1)))
+            f_dense = statesim.tree_ghz_fidelity(edges, werner, list(range(1, k + 1)))
             worst = max(worst, abs(closed - f_dense))
     return worst < tol, f"max |closed form - dense| = {worst:.3e}"
 

@@ -98,7 +98,7 @@ def distance_rows():
 
 def test_criterion_01_state_oracle_agreement():
     ok, detail = validation.suite_state_oracle(n_trees=200, tol=1e-10)
-    report("criterion 1 (diagonal vs dense oracle)", ok, detail)
+    report("criterion 1 (closed form vs dense oracle)", ok, detail)
 
 
 def test_criterion_02_star_closed_form():

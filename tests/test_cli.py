@@ -129,12 +129,19 @@ def test_config_value_is_checked_like_its_flag(tmp_path, capsys, line):
     cfg.write_text(f"protocol = mp-t\nQc = 2\ngrid = 3\nuser_sets = 1\n"
                    f"successes = 2\n{line}\n")
     out = tmp_path / "x"
-    with pytest.raises(SystemExit) as exc:
-        run_cli("run", "--config", str(cfg), "--out", str(out))
-    assert exc.value.code == cli.EXIT_CONFIG
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
-    assert "invalid choice" in captured.err and "DR=" not in captured.out
+    assert f"{cfg}:6: " in captured.err and "invalid choice" in captured.err
+    assert "DR=" not in captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [(), ("run", "--scale", "huge"), ("run", "--seed", "x"),
+                                  ("run", "--bogus")])
+def test_bad_flag_returns_2(argv, capsys):
+    # argparse's errors take the same form as every other configuration error
+    assert run_cli(*argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ghznetsim")
 
 
 def test_config_values_parse_as_single_tokens(tmp_path):

@@ -1,21 +1,20 @@
 import numpy as np
 import pytest
 
-from ghznetsim import dense, statesim
-from ghznetsim.dense import UnsupportedSizeError
-from ghznetsim.validation import random_tree_instance
+from ghznetsim import statesim
+from ghznetsim.statesim import UnsupportedSizeError
 
 
 def test_perfect_inputs_give_unit_fidelity():
     edges = [(0, 1), (1, 2), (1, 3)]
     werner = {e: 1.0 for e in edges}
-    assert dense.dense_oracle_fidelity(edges, werner, [0, 2, 3]) == pytest.approx(1.0)
+    assert statesim.tree_ghz_fidelity(edges, werner, [0, 2, 3]) == pytest.approx(1.0)
 
 
 def test_maximally_mixed_four_users():
     edges = [(4, 0), (4, 1), (4, 2), (4, 3)]
     werner = {e: 0.0 for e in edges}
-    got = dense.dense_oracle_fidelity(edges, werner, [0, 1, 2, 3])
+    got = statesim.tree_ghz_fidelity(edges, werner, [0, 1, 2, 3])
     assert got == pytest.approx(1 / 16, abs=1e-12)
 
 
@@ -23,33 +22,22 @@ def test_size_guard():
     edges = [(i, i + 1) for i in range(9)]
     werner = {e: 0.9 for e in edges}
     with pytest.raises(UnsupportedSizeError):
-        dense.dense_oracle_fidelity(edges, werner, [0, 9])
-
-
-def test_agreement_with_diagonal_simulator():
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(60):
-        edges, werner, users = random_tree_instance(rng)
-        f_diag = statesim.tree_ghz_fidelity(edges, werner, users)
-        f_dense = dense.dense_oracle_fidelity(edges, werner, users)
-        worst = max(worst, abs(f_diag - f_dense))
-    assert worst < 1e-10
+        statesim.tree_ghz_fidelity(edges, werner, [0, 9])
 
 
 def test_trace_preservation():
-    rho = np.kron(dense.werner_dm(0.8), dense.werner_dm(0.6))
-    out = sum(dense.measure_bell(rho, 1, 2, 4))
+    rho = np.kron(statesim.werner_dm(0.8), statesim.werner_dm(0.6))
+    out = sum(statesim.measure_bell(rho, 1, 2, 4))
     assert np.trace(out) == pytest.approx(1.0, abs=1e-12)
-    plus, minus = dense.measure_x(dense.werner_dm(0.8), 0, 2)
+    plus, minus = statesim.measure_x(statesim.werner_dm(0.8), 0, 2)
     assert np.trace(plus) + np.trace(minus) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gate_helpers():
-    rho = np.outer(dense.ghz_ket(2), dense.ghz_ket(2))
+    rho = np.outer(statesim.ghz_ket(2), statesim.ghz_ket(2))
     # X on both qubits maps the Bell state to itself
-    out = dense.apply_x(dense.apply_x(rho, 0, 2), 1, 2)
+    out = statesim.apply_x(statesim.apply_x(rho, 0, 2), 1, 2)
     assert np.allclose(out, rho)
     # Z on one qubit maps it to the orthogonal phi-minus state
-    out = dense.apply_z(rho, 0, 2)
-    assert dense.ghz_ket(2) @ out @ dense.ghz_ket(2) == pytest.approx(0.0, abs=1e-12)
+    out = statesim.apply_z(rho, 0, 2)
+    assert statesim.ghz_ket(2) @ out @ statesim.ghz_ket(2) == pytest.approx(0.0, abs=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghznetsim import noise, protocols, routing, statesim
+from ghznetsim import noise, protocols, routing, statesim, topology
 from ghznetsim.engine import ConfigError, LinkState, SimConfig
 from ghznetsim.noise import NoiseError
 from ghznetsim.topology import NetworkGraph
@@ -130,7 +130,7 @@ def test_ghz_fidelity_floor():
 
 
 # ---------------------------------------------------------------------------
-# the closed-form tree fidelity against the diagonal pipeline
+# the closed-form tree fidelity against the dense density-matrix pipeline
 
 @st.composite
 def werner_trees(draw):
@@ -157,15 +157,54 @@ def werner_trees(draw):
     return branches, [label[u] for u in users]
 
 
+def closed_and_dense(branches, users):
+    """The closed form and the dense pipeline on ``(a, b, w)`` branches, each
+    fed to the oracle as one link carrying the branch's Werner product, so a
+    tree of b branches needs 2b qubits."""
+    nodes = {x for a, b, _ in branches for x in (a, b)}
+    want = statesim.pipeline_fidelity([(a, b, [w]) for a, b, w in branches], users,
+                                      sorted(nodes - set(users)))
+    return noise.werner_tree_fidelity(branches, users), want
+
+
 @settings(max_examples=300, deadline=None)
 @given(werner_trees())
 def test_werner_tree_fidelity_matches_pipeline(tree):
     branches, users = tree
-    nodes = {x for a, b, _ in branches for x in (a, b)}
-    want = statesim.pipeline_fidelity(branches, users, sorted(nodes - set(users)))
-    got = noise.werner_tree_fidelity([(a, b, math.prod(ws)) for a, b, ws in branches],
-                                     users)
+    got, want = closed_and_dense([(a, b, math.prod(ws)) for a, b, ws in branches], users)
     assert abs(got - want) <= 1e-12
+
+
+def routed_structures():
+    """Exact Steiner trees and stars that multipath routing picks on seeded
+    6x6 live snapshots for 4 and 5 users, with engine-style link ages. A
+    grid node has at most 4 links, so only 4-user stars exist."""
+    g = topology.make_grid(6, 0.5, 0.987)
+    for seed in range(30):
+        rng = np.random.default_rng([seed, 6])
+        live = [e for e in g.edges if rng.random() < 0.7]
+        werner = {e: 0.987 * 0.99 ** int(rng.integers(0, 20)) for e in live}
+        for k in (4, 5):
+            users = sorted(rng.choice(36, size=k, replace=False).tolist())
+            degree = {x: sum(x in e for e in live) for x in range(36) if x not in users}
+            center = max(degree, key=lambda x: (degree[x], -x))
+            for kind in ("tree", "star"):
+                sol = routing.select_multipath(live, werner, users, kind, center)
+                if sol is not None:
+                    yield sol, werner, users
+
+
+def test_routed_structures_match_the_oracle():
+    kinds = []
+    for sol, werner, users in routed_structures():
+        branches = [(a, b, math.prod(ws))
+                    for a, b, ws in routing.branch_specs(sol.branches, werner)]
+        got, want = closed_and_dense(branches, users)
+        assert abs(got - want) <= 1e-12, (sol, users)
+        kinds.append((sol.kind, len(users), bool(sol.forks)))
+    # every kind and size that exists, including trees with interior forks
+    assert {(kind, k) for kind, k, _ in kinds} == {("tree", 4), ("tree", 5), ("star", 4)}
+    assert any(forked for kind, _, forked in kinds if kind == "tree")
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ghznetsim import engine, noise, protocols, routing, statesim, topology
+from ghznetsim import engine, noise, protocols, routing, topology
 from ghznetsim.engine import LinkState
 from ghznetsim.protocols import Protocol
 
