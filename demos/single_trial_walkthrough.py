@@ -1,6 +1,6 @@
 """Follow one Monte Carlo trial slot by slot.
 
-Shows the link-state graph filling up, the cutoff discarding old links, and
+Shows the link-state graph filling up, old links expiring at the cutoff, and
 the moment a routing solution becomes feasible and is turned into a GHZ
 state.
 
@@ -25,8 +25,10 @@ print(f"{'slot':>4}  {'live':>4}  {'ages':<26}  note")
 solution = None
 for t in range(1, 200):
     engine.step(links, state, rng)
-    n_live = int((links.ages >= 0).sum())
-    ages = [int(a) for a in links.ages[links.ages >= 0]]
+    # each link is stored as the slot it was born in; its age is t - born
+    age = links.t - links.born
+    ages = [int(a) for a in age[age < q_c]]
+    n_live = len(ages)
     solution = protocols.try_complete(state, links, delta)
     note = ""
     if solution is not None:

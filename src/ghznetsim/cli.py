@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scale", choices=sorted(SCALES), default="desk",
                        help="preset for user sets, successes and budget")
         p.add_argument("--workers", type=int,
-                       help="parallel user-set workers (capped by GHZNETSIM_THREADS)")
+                       help="parallel user-set workers (capped by the CPU count)")
         p.add_argument("--out", default="out", help="output directory (default ./out)")
         p.add_argument("--trial-log", choices=("none", "successes", "all"),
                        default="successes",

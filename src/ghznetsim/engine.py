@@ -1,10 +1,10 @@
 """Discrete-timeslot Monte Carlo engine.
 
-Each timeslot runs three phases: live links age by one and anything at the
-cutoff is discarded, every free tracked edge makes one Bernoulli generation
-attempt, and the protocol then checks whether a GHZ state can be realized.
-A link generated in slot t is usable in slot t at age 0, so a cutoff of 1
-means links are discarded at the end of the slot they were created in.
+Each timeslot has two phases: every free tracked edge makes one Bernoulli
+generation attempt, then the protocol checks whether a GHZ state can be
+realized. A link is stored as the slot b it was generated in; in slot t it
+has age t - b and is usable while that age is below the cutoff, so with a
+cutoff of 1 a link is usable only in the slot it was made in.
 
 Randomness is derived from one root seed with ``spawn_key`` streams per
 (user set, trial), so results are independent of execution order and
@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import protocols
+from .protocols import TrialResult
 from .routing import NoRouteError
 from .topology import NetworkGraph
 
@@ -79,79 +80,49 @@ class SimConfig:
 
 
 class LinkState:
-    """Live entanglement links: one slot per edge, age -1 meaning empty."""
+    """One trial's links: the slot each edge's link was generated in.
+
+    At slot ``t`` the link on edge ``i`` has age ``t - born[i]`` and is live
+    while that age is below the cutoff; every edge starts free.
+    """
 
     def __init__(self, graph: NetworkGraph, q_c: int):
         self.graph = graph
         self.q_c = int(q_c)
-        self.ages = np.full(graph.n_edges, -1, dtype=np.int64)
-        self._w0 = np.asarray(graph.w0)
-        self._p = np.asarray(graph.gen_prob)
-        self._p_uniform = float(self._p[0]) if len(set(graph.gen_prob)) == 1 else None
-
-    def current_werner(self, delta: float, idx: np.ndarray) -> np.ndarray:
-        """Decohered Werner parameters of the live links at ``idx``."""
-        return self._w0[idx] * delta ** self.ages[idx]
+        self.t = 0
+        self.born = np.full(graph.n_edges, -self.q_c, dtype=np.int64)
 
 
 def step(links: LinkState, state: protocols.ProtocolState,
          rng: np.random.Generator) -> None:
-    """Advance one timeslot: age and discard, then generate on free tracked edges.
+    """Advance one timeslot and attempt generation on free tracked edges.
 
     Draws exactly one uniform per free tracked edge, in ascending edge order;
-    occupied edges consume no randomness. Edges discarded at the cutoff are
-    free again within the same slot.
+    occupied edges consume no randomness. A link that reaches the cutoff at
+    this slot is free again and may be regenerated within it.
     """
-    ages = links.ages
-    ages += ages >= 0
-    ages[ages >= links.q_c] = -1
+    links.t += 1
+    born = links.born
+    expired = links.t - links.q_c
     planned = state.planned_idx
     if planned is None:
-        free_idx = np.nonzero(ages < 0)[0]
+        free_idx = np.nonzero(born <= expired)[0]
     else:
-        free_idx = planned[ages[planned] < 0]
+        free_idx = planned[born[planned] <= expired]
     if free_idx.size:
-        p = links._p_uniform
-        hits = rng.random(free_idx.size) < (p if p is not None else links._p[free_idx])
-        ages[free_idx[hits]] = 0
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    """One independent run until a GHZ state is distributed or time runs out."""
-
-    status: str                 # "success" or "timeout"
-    timeslots: int
-    fidelity: float = math.nan
-    r_size: int = 0
-    mean_age: float = math.nan
-    werner_product: float = math.nan
-    branch_fidelity_product: float = math.nan
-    fidelity_floor: float = math.nan
-    center: int | None = None
-    edges: tuple[tuple[int, int], ...] = ()
-
-    @property
-    def success(self) -> bool:
-        return self.status == "success"
+        hits = rng.random(free_idx.size) < links.graph.gen_prob[free_idx]
+        born[free_idx[hits]] = links.t
 
 
 def run_trial(graph: NetworkGraph, state: protocols.ProtocolState, delta: float,
               q_c: int, max_timeslots: int, rng: np.random.Generator) -> TrialResult:
     """Loop step and completion checks until one GHZ state is realized."""
     links = LinkState(graph, q_c)
-    for t in range(1, max_timeslots + 1):
+    for _ in range(max_timeslots):
         step(links, state, rng)
         solution = protocols.try_complete(state, links, delta)
         if solution is not None:
-            realized = protocols.realize_ghz(solution, links, delta, state.users)
-            return TrialResult(
-                status="success", timeslots=t, fidelity=realized.fidelity,
-                r_size=realized.r_size, mean_age=realized.mean_age,
-                werner_product=realized.werner_product,
-                branch_fidelity_product=realized.branch_fidelity_product,
-                fidelity_floor=realized.fidelity_floor,
-                center=solution.center, edges=solution.edges)
+            return protocols.realize_ghz(solution, links, delta, state.users)
     return TrialResult(status="timeout", timeslots=max_timeslots)
 
 
@@ -254,14 +225,11 @@ def _worker(args) -> SetMetrics:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count for parallel user sets, capped by GHZNETSIM_THREADS."""
+    """Worker count for parallel user sets, capped by the CPU count."""
     if workers is not None and workers < 1:
         raise ConfigError(f"workers {workers} must be at least 1")
-    cap = os.environ.get("GHZNETSIM_THREADS")
-    cap = int(cap) if cap else (os.cpu_count() or 1)
-    if workers is None:
-        workers = cap
-    return max(1, min(workers, cap))
+    cap = os.cpu_count() or 1
+    return cap if workers is None else min(workers, cap)
 
 
 def run_experiment(config: SimConfig, workers: int | None = None,

@@ -96,40 +96,50 @@ def try_complete(state: ProtocolState, links, delta: float) -> routing.RoutingSo
     live. Multi-path protocols search the link-state graph; cheap incidence
     checks reject most infeasible timeslots before any graph algorithm runs.
     """
-    ages = links.ages
+    born, t = links.born, links.t
+    expired = t - links.q_c
     if state.planned_idx is not None:
-        if (ages[state.planned_idx] >= 0).all():
+        if (born[state.planned_idx] > expired).all():
             return state.planned_route
         return None
+    live = born > expired
     for inc in state.user_incidence:
-        if not (ages[inc] >= 0).any():
+        if not live[inc].any():
             return None
     if state.center_incidence is not None:
-        if int((ages[state.center_incidence] >= 0).sum()) < len(state.users):
+        if int(live[state.center_incidence].sum()) < len(state.users):
             return None
-    live_idx = np.nonzero(ages >= 0)[0]
+    live_idx = np.nonzero(live)[0]
     graph = links.graph
     live_edges = [graph.edges[i] for i in live_idx]
-    w_now = links.current_werner(delta, live_idx)
+    w_now = graph.w0[live_idx] * delta ** (t - born[live_idx])
     werner = {graph.edges[i]: float(w) for i, w in zip(live_idx, w_now)}
     return routing.select_multipath(live_edges, werner, state.users,
                                     state.kind.routing_kind, center=state.center)
 
 
 @dataclass(frozen=True)
-class RealizedGhz:
-    """Outcome of turning a live routing solution into a GHZ state."""
+class TrialResult:
+    """One independent run until a GHZ state is distributed or time runs out."""
 
-    fidelity: float
-    r_size: int
-    mean_age: float
-    werner_product: float                # product of link Werner parameters
-    branch_fidelity_product: float       # product of per-branch Bell fidelities
-    fidelity_floor: float                # w0^|R| * delta^(mean_age |R|) bound
+    status: str                 # "success" or "timeout"
+    timeslots: int
+    fidelity: float = math.nan
+    r_size: int = 0
+    mean_age: float = math.nan
+    werner_product: float = math.nan           # product of link Werner parameters
+    branch_fidelity_product: float = math.nan  # product of per-branch Bell fidelities
+    fidelity_floor: float = math.nan           # w0^|R| * delta^(mean_age |R|) bound
+    center: int | None = None
+    edges: tuple[tuple[int, int], ...] = ()
+
+    @property
+    def success(self) -> bool:
+        return self.status == "success"
 
 
 def realize_ghz(solution: routing.RoutingSolution, links, delta: float,
-                users) -> RealizedGhz:
+                users) -> TrialResult:
     """Swap, fuse and trim the live links of ``solution`` into a GHZ state.
 
     Uses each link's decohered Werner parameter at its current age; each
@@ -138,8 +148,8 @@ def realize_ghz(solution: routing.RoutingSolution, links, delta: float,
     """
     graph = links.graph
     idx = np.array([graph.edge_index[e] for e in solution.edges])
-    ages = links.ages[idx]
-    if (ages < 0).any():
+    ages = links.t - links.born[idx]
+    if (ages >= links.q_c).any():
         raise RuntimeError("routing solution includes an edge with no live link")
     w_use = {e: float(graph.w0[i]) * delta ** int(a)
              for e, i, a in zip(solution.edges, idx, ages)}
@@ -154,6 +164,7 @@ def realize_ghz(solution: routing.RoutingSolution, links, delta: float,
     w_r = math.prod(w_use.values())
     w0_prod = math.prod(float(graph.w0[i]) for i in idx)
     floor = w0_prod * delta ** (mean_age * r_size)
-    return RealizedGhz(fidelity=fidelity, r_size=r_size, mean_age=mean_age,
-                       werner_product=w_r, branch_fidelity_product=prod_fb,
-                       fidelity_floor=floor)
+    return TrialResult(status="success", timeslots=links.t, fidelity=fidelity,
+                       r_size=r_size, mean_age=mean_age, werner_product=w_r,
+                       branch_fidelity_product=prod_fb, fidelity_floor=floor,
+                       center=solution.center, edges=solution.edges)

@@ -23,7 +23,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .topology import NetworkGraph, users_connected
+from .topology import NetworkGraph, reachable, users_connected
 
 Edge = tuple[int, int]
 
@@ -237,7 +237,7 @@ def decompose_tree_branches(edges: Sequence[Edge],
         raise RoutingError("tree does not span the users")
     if len(edge_set) != len(nodes) - 1:
         raise RoutingError("edge set is not a tree")
-    if not users_connected(edge_set, nodes):
+    if len(reachable(adj, next(iter(adj)))) != len(nodes):
         raise RoutingError("edge set is not connected")
     for node, nbrs in adj.items():
         if len(nbrs) == 1 and node not in users_set:
@@ -404,8 +404,8 @@ def exact_steiner_tree(edges: Sequence[Edge], values: Mapping[Edge, float],
                        secondary: Mapping[Edge, float] | None = None) -> RoutingSolution:
     """Tree spanning the terminals with maximal edge-value product, exactly.
 
-    Dynamic programming over terminal subsets; exponential in the number of
-    terminals, so limited to at most ``_EXACT_TERMINALS``.
+    Dynamic programming over terminal subsets, at most ``_EXACT_TERMINALS``
+    of them. Every edge adds a hop, so the optimum has no non-terminal leaf.
     """
     terminals = sorted(set(int(t) for t in terminals))
     if len(terminals) < 2:
@@ -418,7 +418,7 @@ def exact_steiner_tree(edges: Sequence[Edge], values: Mapping[Edge, float],
         if t not in net.index:
             raise NoRouteError(f"terminal {t} has no usable edges")
     tree = _steiner_dp(net, [net.index[t] for t in terminals])
-    return _tree_solution(_prune_leaves(tree, set(terminals)), terminals)
+    return _tree_solution(tree, terminals)
 
 
 def approx_steiner_tree(edges: Sequence[Edge], values: Mapping[Edge, float],

@@ -8,8 +8,9 @@ summed with their classically tracked corrections applied. Nothing is
 assumed about the form of the intermediate states.
 
 Qubit 0 is the most significant bit of the computational-basis index.
-Matrices grow as ``4**n``, so pipelines are limited to ``MAX_ORACLE_QUBITS``
-qubits, counted as two per link.
+Matrices grow as ``4**n``, so the largest one a pipeline builds (four
+qubits for a swap, b + 2 for the last fusion of b branches) is limited to
+``MAX_ORACLE_QUBITS`` qubits: a chain of any length or a tree of 8 branches.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .noise import check_werner
 
-MAX_ORACLE_QUBITS = 16
+MAX_ORACLE_QUBITS = 10
 
 
 class StateError(ValueError):
@@ -167,10 +168,10 @@ def pipeline_fidelity(branches: Sequence[tuple[int, int, Sequence[float]]],
         raise StateError("no branches to realize")
     if any(len(werners) == 0 for _, _, werners in branches):
         raise StateError("empty branch")
-    total_qubits = 2 * sum(len(werners) for _, _, werners in branches)
-    if total_qubits > MAX_ORACLE_QUBITS:
+    largest = max(4, len(branches) + 2)
+    if largest > MAX_ORACLE_QUBITS:
         raise UnsupportedSizeError(
-            f"{total_qubits} qubits exceeds the dense oracle limit of {MAX_ORACLE_QUBITS}")
+            f"{largest} qubits exceeds the dense oracle limit of {MAX_ORACLE_QUBITS}")
 
     fragments: list[tuple[np.ndarray, list[int]]] = []
     for node_a, node_b, werners in branches:

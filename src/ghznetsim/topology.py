@@ -2,14 +2,16 @@
 
 Nodes are dense integers ``0..n-1``. Edges are unordered pairs ``(u, v)`` with
 ``u < v``, each carrying a Bell-state generation probability and an initial
-Werner parameter. Graphs are immutable after construction and safe to share
-between threads or processes.
+Werner parameter, held as read-only float64 arrays in edge order. Graphs are
+immutable after construction and safe to share between threads or processes.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 
 class TopologyError(ValueError):
@@ -49,8 +51,9 @@ class NetworkGraph:
             w0.append(float(w))
         order = sorted(range(len(edge_list)), key=lambda i: edge_list[i])
         self.edges: tuple[tuple[int, int], ...] = tuple(edge_list[i] for i in order)
-        self.gen_prob: tuple[float, ...] = tuple(gen_prob[i] for i in order)
-        self.w0: tuple[float, ...] = tuple(w0[i] for i in order)
+        self.gen_prob = np.array([gen_prob[i] for i in order], dtype=np.float64)
+        self.w0 = np.array([w0[i] for i in order], dtype=np.float64)
+        self.gen_prob.flags.writeable = self.w0.flags.writeable = False
         self.edge_index: dict[tuple[int, int], int] = {e: i for i, e in enumerate(self.edges)}
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_nodes)]
         for i, (u, v) in enumerate(self.edges):
@@ -122,17 +125,20 @@ def users_connected(edges: Iterable[tuple[int, int]], users: Iterable[int]) -> b
     for u, v in edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    if any(u not in adj for u in users):
-        return False
-    seen = {users[0]}
-    stack = [users[0]]
+    return users[0] in adj and reachable(adj, users[0]).issuperset(users)
+
+
+def reachable(adj: Mapping[int, Iterable[int]], source: int) -> set[int]:
+    """Nodes reachable from ``source`` over an adjacency mapping."""
+    seen = {source}
+    stack = [source]
     while stack:
         x = stack.pop()
         for y in adj[x]:
             if y not in seen:
                 seen.add(y)
                 stack.append(y)
-    return all(u in seen for u in users)
+    return seen
 
 
 def _check_users(g: NetworkGraph, users: Iterable[int]) -> tuple[int, ...]:

@@ -19,10 +19,14 @@ def test_maximally_mixed_four_users():
 
 
 def test_size_guard():
-    edges = [(i, i + 1) for i in range(9)]
-    werner = {e: 0.9 for e in edges}
+    # the last fusion of 9 branches would build an 11-qubit matrix
+    star = [(0, u) for u in range(1, 10)]
     with pytest.raises(UnsupportedSizeError):
-        statesim.tree_ghz_fidelity(edges, werner, [0, 9])
+        statesim.tree_ghz_fidelity(star, {e: 0.9 for e in star}, range(1, 10))
+    # a chain only ever builds the 4-qubit matrices of its swaps
+    chain = [(i, i + 1) for i in range(9)]
+    got = statesim.tree_ghz_fidelity(chain, {e: 0.9 for e in chain}, [0, 9])
+    assert got == pytest.approx((3 * 0.9 ** 9 + 1) / 4, abs=1e-15)
 
 
 def test_trace_preservation():

@@ -16,13 +16,19 @@ def make_rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def ages(links):
+    """Age of each edge's link, -1 where the edge is free."""
+    age = links.t - links.born
+    return np.where(age < links.q_c, age, -1)
+
+
 def test_step_generates_everywhere_at_p1():
     g = topology.make_grid(3, 1.0, 0.9)
     state = protocols.initialize("mp-t", g, (0, 8))
     links = LinkState(g, q_c=4)
     engine.step(links, state, make_rng())
-    assert (links.ages >= 0).sum() == g.n_edges
-    assert (links.ages == 0).all()
+    assert (ages(links) >= 0).sum() == g.n_edges
+    assert (ages(links) == 0).all()
 
 
 def test_step_qc1_links_survive_exactly_one_check():
@@ -30,23 +36,23 @@ def test_step_qc1_links_survive_exactly_one_check():
     state = protocols.initialize("mp-t", g, (0, 3))
     links = LinkState(g, q_c=1)
     engine.step(links, state, make_rng())
-    first = links.ages.copy()
+    first = ages(links)
     assert (first == 0).all()
     engine.step(links, state, make_rng(1))
-    # previous links were discarded before regeneration, ages reset to 0
-    assert (links.ages == 0).all()
+    # previous links expired before regeneration, ages reset to 0
+    assert (ages(links) == 0).all()
 
 
 def test_step_occupied_edges_draw_nothing():
     g = single_edge_graph(p=0.5)
     state = protocols.initialize("sp-t", g, (0, 1))
     links = LinkState(g, q_c=10)
-    links.ages[g.edge_index[(0, 1)]] = 0
+    links.born[g.edge_index[(0, 1)]] = links.t
     rng = make_rng(2)
     before = rng.bit_generator.state["state"]["state"]
     engine.step(links, state, rng)
     after = rng.bit_generator.state["state"]["state"]
-    assert links.ages[0] == 1
+    assert ages(links)[0] == 1
     assert before == after  # no random draw consumed while the edge is occupied
 
 
@@ -54,12 +60,12 @@ def test_step_aging_and_cutoff():
     g = single_edge_graph(p=1e-12)
     state = protocols.initialize("sp-t", g, (0, 1))
     links = LinkState(g, q_c=3)
-    links.ages[g.edge_index[(0, 1)]] = 0
-    ages = []
+    links.born[g.edge_index[(0, 1)]] = links.t
+    seen = []
     for _ in range(4):
         engine.step(links, state, make_rng())
-        ages.append(int(links.ages[0]))
-    assert ages == [1, 2, -1, -1]
+        seen.append(int(ages(links)[0]))
+    assert seen == [1, 2, -1, -1]
 
 
 def test_run_trial_completes_first_slot_at_p1():
@@ -70,6 +76,27 @@ def test_run_trial_completes_first_slot_at_p1():
     assert result.success and result.timeslots == 1
     assert result.fidelity == pytest.approx(1.0)
     assert result.mean_age == 0.0
+
+
+# (timeslots, fidelity.hex()) of trial 0 of user set 0 at seed 2024 on a 6x6
+# grid; they pin the trial stream across engine changes, so a change that
+# moves the random stream or any realised float must update them and say so
+PINNED_TRIALS = {
+    "sp-s": (63, "0x1.1a58b4eeae39ap-1"),
+    "sp-t": (64, "0x1.69a437cbfcf05p-1"),
+    "mp-s": (266, "0x1.2f2cb3b0d1188p-1"),
+    "mp-t": (7, "0x1.641a52435a6a7p-1"),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(PINNED_TRIALS))
+def test_trial_stream_is_pinned(protocol):
+    g = topology.make_grid(6, 0.2, 0.987)
+    state = protocols.initialize(protocol, g, (0, 7, 22, 35))
+    seq = np.random.SeedSequence(2024, spawn_key=(0, 0, 0))
+    result = engine.run_trial(g, state, 0.99, 8, 10_000,
+                              np.random.Generator(np.random.PCG64(seq)))
+    assert (result.timeslots, result.fidelity.hex()) == PINNED_TRIALS[protocol]
 
 
 def test_run_trial_timeout():

@@ -27,7 +27,7 @@ def path_links(w0s, ages):
     """A path graph 0-1-...-n with one live link per edge at the given ages."""
     g = NetworkGraph(len(w0s) + 1, [(i, i + 1, 0.5, w) for i, w in enumerate(w0s)])
     links = LinkState(g, q_c=100)
-    links.ages[:] = ages
+    links.born[:] = [links.t - a for a in ages]
     return links
 
 
@@ -40,18 +40,19 @@ def realize_path(w0s, ages, delta):
     return protocols.realize_ghz(route, links, delta, [0, g.n_nodes - 1])
 
 
-def test_decohere():
-    def werner(w0, delta, age):
-        return float(path_links([w0], [age]).current_werner(delta, np.array([0]))[0])
-
-    assert werner(0.9, 0.99, 0) == 0.9
-    assert werner(0.987, 0.99, 2) == pytest.approx(0.96736, abs=1e-5)
-    assert werner(0.7, 1.0, 57) == 0.7
+def link_werner(w0, delta, age):
+    """Werner parameter of one link of the given age when it is used."""
+    return realize_path([w0], [age], delta).werner_product
 
 
-def test_decohere_monotone_in_tau():
-    links = path_links([0.9] * 20, range(20))
-    values = links.current_werner(0.97, np.arange(20))
+def test_link_werner_decays_with_age():
+    assert link_werner(0.9, 0.99, 0) == 0.9
+    assert link_werner(0.987, 0.99, 2) == pytest.approx(0.96736, abs=1e-5)
+    assert link_werner(0.7, 1.0, 57) == 0.7
+
+
+def test_link_werner_monotone_in_age():
+    values = [link_werner(0.9, 0.97, age) for age in range(20)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -158,20 +159,21 @@ def werner_trees(draw):
 
 
 def closed_and_dense(branches, users):
-    """The closed form and the dense pipeline on ``(a, b, w)`` branches, each
-    fed to the oracle as one link carrying the branch's Werner product, so a
-    tree of b branches needs 2b qubits."""
+    """The closed form and the dense pipeline on ``(a, b, ws)`` branches: the
+    closed form takes each branch's Werner product, the oracle swaps every
+    link of the branch."""
     nodes = {x for a, b, _ in branches for x in (a, b)}
-    want = statesim.pipeline_fidelity([(a, b, [w]) for a, b, w in branches], users,
-                                      sorted(nodes - set(users)))
-    return noise.werner_tree_fidelity(branches, users), want
+    want = statesim.pipeline_fidelity(branches, users, sorted(nodes - set(users)))
+    got = noise.werner_tree_fidelity([(a, b, math.prod(ws)) for a, b, ws in branches],
+                                     users)
+    return got, want
 
 
 @settings(max_examples=300, deadline=None)
 @given(werner_trees())
 def test_werner_tree_fidelity_matches_pipeline(tree):
     branches, users = tree
-    got, want = closed_and_dense([(a, b, math.prod(ws)) for a, b, ws in branches], users)
+    got, want = closed_and_dense(branches, users)
     assert abs(got - want) <= 1e-12
 
 
@@ -197,9 +199,7 @@ def routed_structures():
 def test_routed_structures_match_the_oracle():
     kinds = []
     for sol, werner, users in routed_structures():
-        branches = [(a, b, math.prod(ws))
-                    for a, b, ws in routing.branch_specs(sol.branches, werner)]
-        got, want = closed_and_dense(branches, users)
+        got, want = closed_and_dense(routing.branch_specs(sol.branches, werner), users)
         assert abs(got - want) <= 1e-12, (sol, users)
         kinds.append((sol.kind, len(users), bool(sol.forks)))
     # every kind and size that exists, including trees with interior forks
@@ -267,7 +267,7 @@ def test_percolation_rejects_degenerate_p():
         noise.percolation_min_rounds(1.0, 0.5)
 
 
-def test_decoherence_model_validation():
+def test_delta_outside_unit_interval_rejected():
     g = NetworkGraph(2, [(0, 1, 0.5, 0.9)])
     for delta in (0.0, 1.2):
         with pytest.raises(ConfigError):

@@ -10,7 +10,7 @@ from ghznetsim.protocols import Protocol
 
 def place(links, *edges, age=0):
     for e in edges:
-        links.ages[links.graph.edge_index[e]] = age
+        links.born[links.graph.edge_index[e]] = links.t - age
 
 
 def test_initialize_sp_t_plans_min_steiner():
@@ -95,10 +95,10 @@ def test_mp_solutions_only_use_live_edges():
         links = LinkState(g, q_c=5)
         idx = rng.choice(g.n_edges, size=18, replace=False)
         for i in idx:
-            links.ages[i] = int(rng.integers(0, 5))
+            links.born[i] = links.t - int(rng.integers(0, 5))
         sol = protocols.try_complete(state, links, 0.99)
         if sol is not None:
-            live = {g.edges[i] for i in np.nonzero(links.ages >= 0)[0]}
+            live = {g.edges[i] for i in np.nonzero(links.t - links.born < links.q_c)[0]}
             assert set(sol.edges) <= live
 
 
@@ -113,14 +113,14 @@ def test_mp_t_beats_mp_s_on_same_snapshot():
         links = LinkState(g, q_c=4)
         idx = rng.choice(g.n_edges, size=21, replace=False)
         for i in idx:
-            links.ages[i] = int(rng.integers(0, 4))
+            links.born[i] = links.t - int(rng.integers(0, 4))
         t_sol = protocols.try_complete(t_state, links, 0.99)
         s_sol = protocols.try_complete(s_state, links, 0.99)
         if t_sol is None or s_sol is None:
             continue
         compared += 1
         w = {e: float(v) for e, v in
-             zip(g.edges, links.current_werner(0.99, np.arange(g.n_edges)))}
+             zip(g.edges, g.w0 * 0.99 ** (links.t - links.born))}
         w_t = math.prod(w[e] for e in t_sol.edges)
         w_s = math.prod(w[e] for e in s_sol.edges)
         assert w_t >= w_s - 1e-12
@@ -146,7 +146,7 @@ def test_realize_star_matches_closed_form():
     links = LinkState(g, q_c=5)
     ages = {e: a for e, a in zip(sol.edges, (0, 1, 2, 3))}
     for e, a in ages.items():
-        links.ages[g.edge_index[e]] = a
+        place(links, e, age=a)
     delta = 0.97
     realized = protocols.realize_ghz(sol, links, delta, users)
     fbs = [noise.werner_to_fidelity(0.9 * delta ** ages[e]) for e in sol.edges]
@@ -164,7 +164,7 @@ def test_realize_respects_bounds():
         links = LinkState(g, q_c=6)
         idx = rng.choice(g.n_edges, size=20, replace=False)
         for i in idx:
-            links.ages[i] = int(rng.integers(0, 6))
+            links.born[i] = links.t - int(rng.integers(0, 6))
         sol = protocols.try_complete(state, links, 0.98)
         if sol is None:
             continue
