@@ -34,20 +34,37 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message} (see {self.prog} --help)")
 
 
+def _parse_list(kind, text: str, parts: list[str] | None = None) -> tuple:
+    """``parts``, by default the non-blank comma parts of ``text``, as ``kind``.
+    A flag type raises ArgumentTypeError, which argparse reports with the flag."""
+    if parts is None:
+        parts = [part for part in text.split(",") if part.strip()]
+    try:
+        return tuple(kind(part.strip()) for part in parts)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} in {text!r}") from None
+
+
 def parse_int_list(text: str) -> tuple[int, ...]:
     """Accepts "5", "1,2,3" or an inclusive range "2-8"."""
     text = text.strip()
     if "-" in text and "," not in text:
-        lo, hi = text.split("-", 1)
-        lo, hi = int(lo), int(hi)
+        lo, hi = _parse_list(int, text, text.split("-", 1))
         if hi < lo:
-            raise CliError(f"empty range {text!r}")
+            raise argparse.ArgumentTypeError(f"empty range {text!r}")
         return tuple(range(lo, hi + 1))
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    return _parse_list(int, text)
 
 
 def parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
+    return _parse_list(float, text)
+
+
+def parse_users(text: str) -> dict:
+    """"random:N" samples N users per set; a comma list is one explicit set."""
+    if text.startswith("random:"):
+        return {"n_users": _parse_list(int, text, [text[len("random:"):]])[0]}
+    return {"users": _parse_list(int, text)}
 
 
 def config_tokens(args: argparse.Namespace) -> list[str]:
@@ -90,13 +107,16 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="key = value file of flags; "
                                         "command-line flags win")
-        p.add_argument("--protocol", help="comma list from sp-s,sp-t,mp-s,mp-t")
-        p.add_argument("--grid", help="grid sizes M (list or range)")
-        p.add_argument("--p", help="link generation probabilities (comma list)")
+        p.add_argument("--protocol", type=lambda text: _parse_list(str, text),
+                       help="comma list from sp-s,sp-t,mp-s,mp-t")
+        p.add_argument("--grid", type=parse_int_list, help="grid sizes M (list or range)")
+        p.add_argument("--p", type=parse_float_list,
+                       help="link generation probabilities (comma list)")
         p.add_argument("--w0", type=float, help="initial Werner parameter")
         p.add_argument("--delta", type=float, help="per-slot decoherence constant")
-        p.add_argument("--Qc", help="memory cutoffs (list or range, e.g. 2-8)")
-        p.add_argument("--users", help="explicit node list or random:N")
+        p.add_argument("--Qc", type=parse_int_list,
+                       help="memory cutoffs (list or range, e.g. 2-8)")
+        p.add_argument("--users", type=parse_users, help="explicit node list or random:N")
         p.add_argument("--user-sets", type=int, help="number of sampled user sets")
         p.add_argument("--successes", type=int, help="target successes per user set")
         p.add_argument("--max-timeslots", type=int,
@@ -117,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(pareto_p)
     dist_p = sub.add_parser("distance", help="corner-user distance experiment")
     common(dist_p)
-    dist_p.set_defaults(grid="3-6", p="0.3")
+    dist_p.set_defaults(grid=(3, 4, 5, 6), p=(0.3,))
     dist_p.add_argument("--floor", type=float, default=experiments.FIDELITY_FLOOR,
                         help="minimum mean fidelity (default 2/3)")
     val_p = sub.add_parser("validate", help="run the oracle cross-check suites")
@@ -131,21 +151,9 @@ def build_spec(opts: argparse.Namespace) -> SweepSpec:
     ``--scale`` preset and ``SweepSpec``'s own defaults."""
     given = dict(w0=opts.w0, delta=opts.delta, user_sets=opts.user_sets,
                  target_successes=opts.successes,
-                 max_set_timeslots=opts.max_timeslots, seed=opts.seed)
-    if opts.protocol is not None:
-        given["protocols"] = tuple(s.strip() for s in opts.protocol.split(",")
-                                   if s.strip())
-    if opts.Qc is not None:
-        given["qc_values"] = parse_int_list(opts.Qc)
-    if opts.p is not None:
-        given["p_values"] = parse_float_list(opts.p)
-    if opts.grid is not None:
-        given["grid_sizes"] = parse_int_list(opts.grid)
-    if opts.users is not None:
-        if opts.users.startswith("random:"):
-            given["n_users"] = int(opts.users.split(":", 1)[1])
-        else:
-            given["users"] = tuple(int(u) for u in opts.users.split(",") if u.strip())
+                 max_set_timeslots=opts.max_timeslots, seed=opts.seed,
+                 protocols=opts.protocol, qc_values=opts.Qc, p_values=opts.p,
+                 grid_sizes=opts.grid, **(opts.users or {}))
     return SweepSpec(**{**SCALES[opts.scale],
                         **{k: v for k, v in given.items() if v is not None}})
 

@@ -1,15 +1,18 @@
 """Discrete-timeslot Monte Carlo engine.
 
 Each timeslot has two phases: every free tracked edge makes one Bernoulli
-generation attempt, then the protocol checks whether a GHZ state can be
-realized. A link is stored as the slot b it was generated in; in slot t it
-has age t - b and is usable while that age is below the cutoff, so with a
-cutoff of 1 a link is usable only in the slot it was made in.
+generation attempt, then, if that made a link, the protocol checks whether a
+GHZ state can be realized (in other slots links only expire and decay, so a
+failed check would fail again). A link is stored as the slot b it was made
+in; in slot t it has age t - b and is usable while that age is below the
+cutoff, so with a cutoff of 1 a link is usable only in the slot it was made in.
 
 Randomness is derived from one root seed with ``spawn_key`` streams per
 (user set, trial), so results are independent of execution order and
 experiments parallelise across user sets without losing reproducibility.
-Aggregation always merges results in user-set index order.
+A trial takes its uniforms from a buffer of ``rng.random`` blocks, the values
+one ``rng.random(n_free)`` per slot would give. Aggregation always merges
+results in user-set index order.
 """
 
 from __future__ import annotations
@@ -58,6 +61,8 @@ class SimConfig:
             raise ConfigError("target_successes must be positive")
         if self.user_sets < 1:
             raise ConfigError("user_sets must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} must be non-negative")
         if self.max_set_timeslots < 1:
             raise ConfigError("timeslot budget must be positive")
         if self.users is not None and len(self.users) < 2:
@@ -80,49 +85,56 @@ class SimConfig:
 
 
 class LinkState:
-    """One trial's links: the slot each edge's link was generated in.
+    """One trial's links and its stream of uniforms.
 
     At slot ``t`` the link on edge ``i`` has age ``t - born[i]`` and is live
-    while that age is below the cutoff; every edge starts free.
+    while that age is below the cutoff; every edge starts free. ``buffer``
+    holds ``rng``'s next uniforms, last first; ``filled`` counts those drawn.
     """
 
-    def __init__(self, graph: NetworkGraph, q_c: int):
+    def __init__(self, graph: NetworkGraph, q_c: int, rng=None):
         self.graph = graph
         self.q_c = int(q_c)
         self.t = 0
-        self.born = np.full(graph.n_edges, -self.q_c, dtype=np.int64)
+        self.born = [-self.q_c] * graph.n_edges
+        self.rng = rng
+        self.buffer: list[float] = []
+        self.filled = 0
 
 
-def step(links: LinkState, state: protocols.ProtocolState,
-         rng: np.random.Generator) -> None:
+def step(links: LinkState, state: protocols.ProtocolState) -> bool:
     """Advance one timeslot and attempt generation on free tracked edges.
 
     Draws exactly one uniform per free tracked edge, in ascending edge order;
     occupied edges consume no randomness. A link that reaches the cutoff at
-    this slot is free again and may be regenerated within it.
+    this slot is free again and may be regenerated within it. Returns whether
+    any link was made.
     """
-    links.t += 1
-    born = links.born
-    expired = links.t - links.q_c
-    planned = state.planned_idx
-    if planned is None:
-        free_idx = np.nonzero(born <= expired)[0]
-    else:
-        free_idx = planned[born[planned] <= expired]
-    if free_idx.size:
-        hits = rng.random(free_idx.size) < links.graph.gen_prob[free_idx]
-        born[free_idx[hits]] = links.t
+    t = links.t = links.t + 1
+    expired = t - links.q_c
+    born, buffer = links.born, links.buffer
+    made = False
+    for i, p in state.tracked:
+        if born[i] <= expired:
+            if not buffer:
+                block = min(4096, max(64, links.filled))
+                buffer = links.buffer = links.rng.random(block)[::-1].tolist()
+                links.filled += block
+            if buffer.pop() < p:
+                born[i] = t
+                made = True
+    return made
 
 
 def run_trial(graph: NetworkGraph, state: protocols.ProtocolState, delta: float,
               q_c: int, max_timeslots: int, rng: np.random.Generator) -> TrialResult:
-    """Loop step and completion checks until one GHZ state is realized."""
-    links = LinkState(graph, q_c)
+    """Step until one GHZ state is realized, checking after slots with a new link."""
+    links = LinkState(graph, q_c, rng)
     for _ in range(max_timeslots):
-        step(links, state, rng)
-        solution = protocols.try_complete(state, links, delta)
-        if solution is not None:
-            return protocols.realize_ghz(solution, links, delta, state.users)
+        if step(links, state):
+            solution = protocols.try_complete(state, links, delta)
+            if solution is not None:
+                return protocols.realize_ghz(solution, links, delta, state.users)
     return TrialResult(status="timeout", timeslots=max_timeslots)
 
 

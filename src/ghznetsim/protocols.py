@@ -45,11 +45,11 @@ class ProtocolState:
     users: tuple[int, ...]
     planned_route: routing.RoutingSolution | None
     center: int | None
-    # planned-route edge indices, the only edges where a single-path protocol
-    # attempts generation; None for multi-path protocols, which try every edge
-    planned_idx: np.ndarray | None
-    user_incidence: tuple[np.ndarray, ...]   # per user, incident edge indices
-    center_incidence: np.ndarray | None
+    # (edge index, generation probability) in edge order where generation is
+    # attempted: the planned route for single-path protocols, else every edge
+    tracked: tuple[tuple[int, float], ...]
+    user_incidence: tuple[tuple[int, ...], ...]   # per user, incident edge indices
+    center_incidence: tuple[int, ...] | None
 
 
 def initialize(kind: Protocol | str, g: NetworkGraph, users) -> ProtocolState:
@@ -59,12 +59,12 @@ def initialize(kind: Protocol | str, g: NetworkGraph, users) -> ProtocolState:
     g.require_connected()
 
     planned = None
-    planned_idx = None
+    tracked = tuple(enumerate(g.gen_prob.tolist()))
     center = None
     if kind.is_single_path:
         planned = routing.select_single_path(g, users, kind.routing_kind)
         center = planned.center
-        planned_idx = np.array(sorted(g.edge_index[e] for e in planned.edges))
+        tracked = tuple(sorted(tracked[g.edge_index[e]] for e in planned.edges))
     else:
         if kind is Protocol.MP_S:
             # the centre must be able to host one disjoint branch per user,
@@ -78,14 +78,11 @@ def initialize(kind: Protocol | str, g: NetworkGraph, users) -> ProtocolState:
                 raise routing.NoRouteError(
                     f"no viable centre node for {len(users)} users") from exc
 
-    user_inc = tuple(
-        np.array(sorted(i for i, e in enumerate(g.edges) if u in e)) for u in users
-    )
-    center_inc = None
-    if center is not None and kind is Protocol.MP_S:
-        center_inc = np.array(sorted(i for i, e in enumerate(g.edges) if center in e))
+    user_inc = tuple(tuple(i for i, e in enumerate(g.edges) if u in e) for u in users)
+    center_inc = (tuple(i for i, e in enumerate(g.edges) if center in e)
+                  if kind is Protocol.MP_S else None)
     return ProtocolState(kind=kind, users=users, planned_route=planned,
-                         center=center, planned_idx=planned_idx,
+                         center=center, tracked=tracked,
                          user_incidence=user_inc, center_incidence=center_inc)
 
 
@@ -98,21 +95,19 @@ def try_complete(state: ProtocolState, links, delta: float) -> routing.RoutingSo
     """
     born, t = links.born, links.t
     expired = t - links.q_c
-    if state.planned_idx is not None:
-        if (born[state.planned_idx] > expired).all():
-            return state.planned_route
-        return None
-    live = born > expired
+    if state.planned_route is not None:
+        all_live = all(born[i] > expired for i, _ in state.tracked)
+        return state.planned_route if all_live else None
     for inc in state.user_incidence:
-        if not live[inc].any():
+        if all(born[i] <= expired for i in inc):
             return None
     if state.center_incidence is not None:
-        if int(live[state.center_incidence].sum()) < len(state.users):
+        if sum(born[i] > expired for i in state.center_incidence) < len(state.users):
             return None
-    live_idx = np.nonzero(live)[0]
+    live_idx = [i for i, b in enumerate(born) if b > expired]
     graph = links.graph
     live_edges = [graph.edges[i] for i in live_idx]
-    w_now = graph.w0[live_idx] * delta ** (t - born[live_idx])
+    w_now = graph.w0[live_idx] * delta ** np.array([t - born[i] for i in live_idx])
     werner = {graph.edges[i]: float(w) for i, w in zip(live_idx, w_now)}
     return routing.select_multipath(live_edges, werner, state.users,
                                     state.kind.routing_kind, center=state.center)
@@ -147,11 +142,11 @@ def realize_ghz(solution: routing.RoutingSolution, links, delta: float,
     any solution edge has no live link (caller bug).
     """
     graph = links.graph
-    idx = np.array([graph.edge_index[e] for e in solution.edges])
-    ages = links.t - links.born[idx]
-    if (ages >= links.q_c).any():
+    idx = [graph.edge_index[e] for e in solution.edges]
+    ages = [links.t - links.born[i] for i in idx]
+    if max(ages) >= links.q_c:
         raise RuntimeError("routing solution includes an edge with no live link")
-    w_use = {e: float(graph.w0[i]) * delta ** int(a)
+    w_use = {e: float(graph.w0[i]) * delta ** a
              for e, i, a in zip(solution.edges, idx, ages)}
 
     branches = [(a, b, math.prod(map(check_werner, ws)))
@@ -159,7 +154,7 @@ def realize_ghz(solution: routing.RoutingSolution, links, delta: float,
     prod_fb = math.prod(werner_to_fidelity(w) for _, _, w in branches)
     fidelity = werner_tree_fidelity(branches, users)
 
-    mean_age = float(ages.mean())
+    mean_age = sum(ages) / len(ages)
     r_size = len(solution.edges)
     w_r = math.prod(w_use.values())
     w0_prod = math.prod(float(graph.w0[i]) for i in idx)

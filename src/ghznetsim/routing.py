@@ -727,9 +727,9 @@ def select_single_path(g: NetworkGraph, users: Sequence[int],
 
 def _solution_cost(sol: RoutingSolution, primary: Mapping[Edge, float],
                    secondary: Mapping[Edge, float]) -> tuple:
-    cp = -math.fsum(math.log(primary[e]) for e in sol.edges)
-    cw = -math.fsum(math.log(secondary[e]) for e in sol.edges)
-    return (cp, cw, len(sol.edges))
+    costs = edge_cost_map(sol.edges, primary, secondary).values()
+    return (math.fsum(cp for cp, _ in costs), math.fsum(cw for _, cw in costs),
+            len(sol.edges))
 
 
 def select_multipath(live_edges: Sequence[Edge], werner: Mapping[Edge, float],

@@ -18,6 +18,9 @@ def test_parse_int_list():
     assert cli.parse_int_list("5") == (5,)
     assert cli.parse_int_list("1,2,3") == (1, 2, 3)
     assert cli.parse_int_list("1-4") == (1, 2, 3, 4)
+    assert cli.parse_float_list(" 0.1, 0.2,") == (0.1, 0.2)
+    assert cli.parse_users("0, 5,9") == {"users": (0, 5, 9)}
+    assert cli.parse_users("random:3") == {"n_users": 3}
 
 
 def test_run_writes_outputs(tmp_path):
@@ -144,6 +147,43 @@ def test_bad_flag_returns_2(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ghznetsim")
 
 
+@pytest.mark.parametrize("flag, value", [("--Qc", "3.5"), ("--grid", "2.5"), ("--p", "abc"),
+                                         ("--users", "0,x"), ("--Qc", "3-x"),
+                                         ("--users", "random:"), ("--Qc", "5-3")])
+def test_malformed_list_value_names_its_flag(tmp_path, capsys, flag, value):
+    out = tmp_path / "x"
+    assert run_cli("run", "--protocol", "mp-t", "--grid", "3", "--Qc", "2",
+                   "--successes", "2", flag, value, "--out", str(out)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and repr(value) in err
+    assert "invalid literal" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["Qc = 3.5", "grid = 2.5", "p = abc", "users = 0,x",
+                                  "Qc = 3-x"])
+def test_malformed_list_value_in_config_names_its_line(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"protocol = mp-t\nsuccesses = 2\n{line}\n")
+    out = tmp_path / "x"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    flag = "--" + line.split(" = ")[0]
+    assert f"{cfg}:3: " in err and f"argument {flag}: " in err
+    assert not out.exists()
+
+
+def test_negative_seed_exits_2_before_any_cell(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run_cli("run", "--protocol", "mp-t", "--grid", "3", "--Qc", "2",
+                   "--users", "0,8", "--successes", "2", "--seed", "-1",
+                   "--out", str(out)) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "seed -1" in captured.err and "DR=" not in captured.out
+    assert not any((out / name).exists()
+                   for name in ("results.csv", "summary.json", "trials.jsonl"))
+
+
 def test_config_values_parse_as_single_tokens(tmp_path):
     # a value that starts with '-' is still the key's value, not a flag
     cfg = tmp_path / "sweep.cfg"
@@ -151,7 +191,7 @@ def test_config_values_parse_as_single_tokens(tmp_path):
     args = cli.build_parser().parse_args(["run", "--config", str(cfg)])
     tokens = cli.config_tokens(args)
     assert tokens == ["--Qc=2", "--p=-1,5"]
-    assert cli.build_parser().parse_args(["run", *tokens]).p == "-1,5"
+    assert cli.build_parser().parse_args(["run", *tokens]).p == (-1.0, 5.0)
 
 
 def test_bare_commands_use_the_sweep_defaults():

@@ -4,8 +4,9 @@ import statistics
 import numpy as np
 import pytest
 
-from ghznetsim import engine, protocols, topology
+from ghznetsim import engine, protocols, routing, topology
 from ghznetsim.engine import ConfigError, LinkState, SimConfig
+from ghznetsim.protocols import TrialResult
 
 
 def single_edge_graph(p=0.1, w0=0.987):
@@ -18,15 +19,20 @@ def make_rng(seed=0):
 
 def ages(links):
     """Age of each edge's link, -1 where the edge is free."""
-    age = links.t - links.born
+    age = links.t - np.asarray(links.born)
     return np.where(age < links.q_c, age, -1)
+
+
+def drawn(links):
+    """Uniforms the trial has taken from its stream so far."""
+    return links.filled - len(links.buffer)
 
 
 def test_step_generates_everywhere_at_p1():
     g = topology.make_grid(3, 1.0, 0.9)
     state = protocols.initialize("mp-t", g, (0, 8))
-    links = LinkState(g, q_c=4)
-    engine.step(links, state, make_rng())
+    links = LinkState(g, q_c=4, rng=make_rng())
+    assert engine.step(links, state)
     assert (ages(links) >= 0).sum() == g.n_edges
     assert (ages(links) == 0).all()
 
@@ -34,11 +40,11 @@ def test_step_generates_everywhere_at_p1():
 def test_step_qc1_links_survive_exactly_one_check():
     g = topology.make_grid(2, 1.0, 0.9)
     state = protocols.initialize("mp-t", g, (0, 3))
-    links = LinkState(g, q_c=1)
-    engine.step(links, state, make_rng())
+    links = LinkState(g, q_c=1, rng=make_rng())
+    engine.step(links, state)
     first = ages(links)
     assert (first == 0).all()
-    engine.step(links, state, make_rng(1))
+    engine.step(links, state)
     # previous links expired before regeneration, ages reset to 0
     assert (ages(links) == 0).all()
 
@@ -46,24 +52,38 @@ def test_step_qc1_links_survive_exactly_one_check():
 def test_step_occupied_edges_draw_nothing():
     g = single_edge_graph(p=0.5)
     state = protocols.initialize("sp-t", g, (0, 1))
-    links = LinkState(g, q_c=10)
+    links = LinkState(g, q_c=10, rng=make_rng(2))
     links.born[g.edge_index[(0, 1)]] = links.t
-    rng = make_rng(2)
-    before = rng.bit_generator.state["state"]["state"]
-    engine.step(links, state, rng)
-    after = rng.bit_generator.state["state"]["state"]
+    assert not engine.step(links, state)
     assert ages(links)[0] == 1
-    assert before == after  # no random draw consumed while the edge is occupied
+    assert drawn(links) == 0  # no uniform consumed while the edge is occupied
+
+
+def test_step_draws_one_uniform_per_free_tracked_edge_in_edge_order():
+    g = topology.make_grid(3, 0.5, 0.9)
+    state = protocols.initialize("mp-t", g, (0, 8))
+    links = LinkState(g, q_c=2, rng=make_rng(5))
+    reference = make_rng(5)
+    for _ in range(30):
+        born = np.asarray(links.born)
+        free = np.nonzero(born <= links.t + 1 - links.q_c)[0]
+        hits = free[reference.random(free.size) < g.gen_prob[free]]
+        before = drawn(links)
+        made = engine.step(links, state)
+        assert drawn(links) - before == free.size
+        assert made == (hits.size > 0)
+        born[hits] = links.t
+        assert links.born == born.tolist()
 
 
 def test_step_aging_and_cutoff():
     g = single_edge_graph(p=1e-12)
     state = protocols.initialize("sp-t", g, (0, 1))
-    links = LinkState(g, q_c=3)
+    links = LinkState(g, q_c=3, rng=make_rng())
     links.born[g.edge_index[(0, 1)]] = links.t
     seen = []
     for _ in range(4):
-        engine.step(links, state, make_rng())
+        engine.step(links, state)
         seen.append(int(ages(links)[0]))
     assert seen == [1, 2, -1, -1]
 
@@ -97,6 +117,83 @@ def test_trial_stream_is_pinned(protocol):
     result = engine.run_trial(g, state, 0.99, 8, 10_000,
                               np.random.Generator(np.random.PCG64(seq)))
     assert (result.timeslots, result.fidelity.hex()) == PINNED_TRIALS[protocol]
+
+
+def test_uniform_blocks_concatenate_to_one_draw():
+    # the trial buffer draws uniforms in blocks; that gives the per-slot
+    # draws only because a split draw continues the same stream
+    for a, b in ((0, 5), (1, 63), (64, 64), (57, 4096), (3000, 1200)):
+        whole, split = make_rng(a * 7 + b), make_rng(a * 7 + b)
+        joined = np.concatenate([split.random(a), split.random(b)])
+        assert np.array_equal(whole.random(a + b), joined)
+
+
+def reference_trial(g, state, delta, q_c, max_timeslots, rng):
+    """The engine before buffered uniforms: one ``rng.random(n_free)`` per
+    slot on a numpy ``born``, and a full completion check in every slot."""
+    tracked = np.array([i for i, _ in state.tracked], dtype=np.int64)
+    born = np.full(g.n_edges, -q_c, dtype=np.int64)
+    for t in range(1, max_timeslots + 1):
+        expired = t - q_c
+        free = tracked[born[tracked] <= expired]
+        if free.size:
+            hits = rng.random(free.size) < g.gen_prob[free]
+            born[free[hits]] = t
+        if state.planned_route is not None:
+            solution = state.planned_route if (born[tracked] > expired).all() else None
+        else:
+            live = np.nonzero(born > expired)[0]
+            w_now = g.w0[live] * delta ** (t - born[live])
+            werner = {g.edges[i]: float(w) for i, w in zip(live, w_now)}
+            solution = routing.select_multipath(
+                [g.edges[i] for i in live], werner, state.users,
+                state.kind.routing_kind, center=state.center)
+        if solution is not None:
+            links = LinkState(g, q_c)
+            links.t, links.born = t, born.tolist()
+            return protocols.realize_ghz(solution, links, delta, state.users)
+    return TrialResult(status="timeout", timeslots=max_timeslots)
+
+
+def random_graph(rng):
+    """A small connected graph whose edges mix p in {0, 1, random} and w0 in
+    {0, 1, random}."""
+    n = int(rng.integers(3, 8))
+    pairs = {(int(rng.integers(0, v)), v) for v in range(1, n)}   # a spanning tree
+    pairs |= {tuple(sorted(map(int, rng.choice(n, 2, replace=False))))
+              for _ in range(int(rng.integers(0, 2 * n)))}
+
+    def pick():
+        return float(rng.choice([0.0, 1.0, rng.uniform(0.05, 0.9), rng.uniform(0.05, 0.9)]))
+
+    return topology.NetworkGraph(n, [(u, v, pick(), pick()) for u, v in sorted(pairs)])
+
+
+@pytest.mark.parametrize("protocol", ["sp-t", "sp-s", "mp-t", "mp-s"])
+def test_run_trial_matches_reference_engine(protocol):
+    rng = np.random.default_rng(sum(map(ord, protocol)))
+    compared = successes = 0
+    while compared < 200:
+        g = random_graph(rng)
+        n_users = int(rng.integers(2, min(5, g.n_nodes + 1)))
+        users = tuple(int(u) for u in rng.choice(g.n_nodes, n_users, replace=False))
+        try:
+            state = protocols.initialize(protocol, g, users)
+        except routing.NoRouteError:
+            continue
+        q_c = int(rng.integers(1, 6))
+        delta = float(rng.choice([1.0, rng.uniform(0.5, 1.0)]))
+        for _ in range(4):
+            seed, budget = int(rng.integers(2**32)), int(rng.integers(1, 40))
+            got = engine.run_trial(g, state, delta, q_c, budget, make_rng(seed))
+            want = reference_trial(g, state, delta, q_c, budget, make_rng(seed))
+            assert ((got.status, got.timeslots, got.fidelity.hex(), got.edges,
+                     got.center, got.mean_age)
+                    == (want.status, want.timeslots, want.fidelity.hex(), want.edges,
+                        want.center, want.mean_age))
+            compared += 1
+            successes += got.success
+    assert 0 < successes < compared
 
 
 def test_run_trial_timeout():

@@ -19,14 +19,14 @@ def test_initialize_sp_t_plans_min_steiner():
     state = protocols.initialize("sp-t", g, users)
     assert state.planned_route is not None
     assert state.planned_route.size == topology.steiner_distance(g, users)
-    assert len(state.planned_idx) == state.planned_route.size
+    assert len(state.tracked) == state.planned_route.size
 
 
 def test_initialize_mp_t_tracks_all_edges():
     g = topology.make_grid(6, 0.1, 0.987)
     state = protocols.initialize("mp-t", g, (0, 7, 22, 35))
     assert state.planned_route is None
-    assert state.planned_idx is None
+    assert [i for i, _ in state.tracked] == list(range(g.n_edges))
 
 
 def test_initialize_mp_s_center_is_centroid():
@@ -98,7 +98,8 @@ def test_mp_solutions_only_use_live_edges():
             links.born[i] = links.t - int(rng.integers(0, 5))
         sol = protocols.try_complete(state, links, 0.99)
         if sol is not None:
-            live = {g.edges[i] for i in np.nonzero(links.t - links.born < links.q_c)[0]}
+            ages = links.t - np.asarray(links.born)
+            live = {g.edges[i] for i in np.nonzero(ages < links.q_c)[0]}
             assert set(sol.edges) <= live
 
 
@@ -120,7 +121,7 @@ def test_mp_t_beats_mp_s_on_same_snapshot():
             continue
         compared += 1
         w = {e: float(v) for e, v in
-             zip(g.edges, g.w0 * 0.99 ** (links.t - links.born))}
+             zip(g.edges, g.w0 * 0.99 ** (links.t - np.asarray(links.born)))}
         w_t = math.prod(w[e] for e in t_sol.edges)
         w_s = math.prod(w[e] for e in s_sol.edges)
         assert w_t >= w_s - 1e-12
