@@ -1,4 +1,4 @@
-"""Route selection on a weighted grid: paths, Steiner trees, star flows.
+"""Route selection on a weighted grid: Steiner trees, star flows.
 
 Run:  python demos/routing_tour.py
 """
@@ -13,11 +13,11 @@ g = topology.make_grid(5, 0.3, 0.95)
 rng = np.random.default_rng(3)
 values = {e: float(v) for e, v in zip(g.edges, rng.uniform(0.3, 0.95, g.n_edges))}
 
-print("=== Max-product path between opposite corners ===")
-path = routing.max_product_path(g.edges, values, 0, 24)
-product = math.prod(values[routing.canon(a, b)] for a, b in zip(path, path[1:]))
-print(f"  path {path}")
-print(f"  product {product:.4f} over {len(path) - 1} edges")
+print("=== Max-product path: a two-terminal Steiner tree between opposite corners ===")
+pair = routing.steiner_tree(g.edges, values, [0, 24])
+product = math.prod(values[e] for e in pair.edges)
+print(f"  path {pair.branches[0]}")
+print(f"  product {product:.4f} over {pair.size} edges")
 
 print("\n=== Exact vs approximate Steiner tree, 4 terminals ===")
 terminals = [0, 4, 20, 24]

@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "over noisy quantum networks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, users=True):
         p.add_argument("--config", help="key = value file of flags; "
                                         "command-line flags win")
         p.add_argument("--protocol", type=lambda text: _parse_list(str, text),
@@ -116,8 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta", type=float, help="per-slot decoherence constant")
         p.add_argument("--Qc", type=parse_int_list,
                        help="memory cutoffs (list or range, e.g. 2-8)")
-        p.add_argument("--users", type=parse_users, help="explicit node list or random:N")
-        p.add_argument("--user-sets", type=int, help="number of sampled user sets")
+        if users:
+            p.add_argument("--users", type=parse_users, help="explicit node list or random:N")
+            p.add_argument("--user-sets", type=int, help="number of sampled user sets")
         p.add_argument("--successes", type=int, help="target successes per user set")
         p.add_argument("--max-timeslots", type=int,
                        help="timeslot budget per user set")
@@ -136,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     pareto_p = sub.add_parser("pareto", help="rate/fidelity trade-off analysis")
     common(pareto_p)
     dist_p = sub.add_parser("distance", help="corner-user distance experiment")
-    common(dist_p)
+    common(dist_p, users=False)     # its users are the grid's corners
     dist_p.set_defaults(grid=(3, 4, 5, 6), p=(0.3,))
     dist_p.add_argument("--floor", type=float, default=experiments.FIDELITY_FLOOR,
                         help="minimum mean fidelity (default 2/3)")
@@ -149,11 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
 def build_spec(opts: argparse.Namespace) -> SweepSpec:
     """The sweep the options ask for: the options given, on top of the
     ``--scale`` preset and ``SweepSpec``'s own defaults."""
-    given = dict(w0=opts.w0, delta=opts.delta, user_sets=opts.user_sets,
+    given = dict(w0=opts.w0, delta=opts.delta, user_sets=getattr(opts, "user_sets", None),
                  target_successes=opts.successes,
                  max_set_timeslots=opts.max_timeslots, seed=opts.seed,
                  protocols=opts.protocol, qc_values=opts.Qc, p_values=opts.p,
-                 grid_sizes=opts.grid, **(opts.users or {}))
+                 grid_sizes=opts.grid, **(getattr(opts, "users", None) or {}))
     return SweepSpec(**{**SCALES[opts.scale],
                         **{k: v for k, v in given.items() if v is not None}})
 
@@ -169,14 +170,17 @@ def _progress(cell) -> None:
 def cmd_run(opts: argparse.Namespace) -> int:
     spec = build_spec(opts)
     out = Path(opts.out)
-    out.mkdir(parents=True, exist_ok=True)
     workers = resolve_workers(opts.workers)
-    print(f"running sweep: {len(spec.protocols)} protocols x "
-          f"{len(spec.qc_values)} cutoffs x {len(spec.p_values)} p x "
-          f"{len(spec.grid_sizes)} grids ({workers} workers)")
+
+    def start():  # once every cell is checked, so a bad value leaves no --out behind
+        out.mkdir(parents=True, exist_ok=True)
+        print(f"running sweep: {len(spec.protocols)} protocols x "
+              f"{len(spec.qc_values)} cutoffs x {len(spec.p_values)} p x "
+              f"{len(spec.grid_sizes)} grids ({workers} workers)")
+
     cells = experiments.run_sweep(spec, workers=workers,
                                   keep_trials=opts.trial_log != "none",
-                                  progress=_progress)
+                                  progress=_progress, start=start)
     experiments.write_csv(cells, out / "results.csv")
     experiments.write_summary(cells, out / "summary.json",
                               extra={"spec": _spec_dict(spec)})
@@ -235,12 +239,15 @@ def cmd_pareto(opts: argparse.Namespace) -> int:
 def cmd_distance(opts: argparse.Namespace) -> int:
     spec = build_spec(opts)
     out = Path(opts.out)
-    out.mkdir(parents=True, exist_ok=True)
-    print(f"distance experiment: corners of M in {list(spec.grid_sizes)}, "
-          f"p={spec.p_values[0]:g}, fidelity floor {opts.floor:.4f}")
+
+    def start():
+        out.mkdir(parents=True, exist_ok=True)
+        print(f"distance experiment: corners of M in {list(spec.grid_sizes)}, "
+              f"p={spec.p_values[0]:g}, fidelity floor {opts.floor:.4f}")
+
     rows = experiments.distance_experiment(spec, fidelity_floor=opts.floor,
                                            workers=resolve_workers(opts.workers),
-                                           progress=_progress)
+                                           progress=_progress, start=start)
     experiments.write_distance_csv(rows, out / "distance.csv")
     series: dict[str, list] = {}
     for r in rows:

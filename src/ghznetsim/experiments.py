@@ -81,12 +81,17 @@ def cell_config(spec: SweepSpec, protocol: str, p: float, q_c: int, m: int,
         max_set_timeslots=spec.max_set_timeslots, seed=spec.seed)
 
 
-def run_sweep(spec: SweepSpec, workers: int | None = None,
-              keep_trials: bool = True, progress=None) -> list[CellResult]:
+def run_sweep(spec: SweepSpec, workers: int | None = None, keep_trials: bool = True,
+              progress=None, start=None, grid_users=None) -> list[CellResult]:
+    """Every cell, in order: ``start()`` runs once all are checked, ``progress(cell)``
+    after each; ``grid_users(m)``, if given, is each m x m cell's one user set."""
     # every cell's configuration is built, and so checked, before any cell runs
-    plan = [(protocol, p, q_c, m, cell_config(spec, protocol, p, q_c, m))
+    plan = [(protocol, p, q_c, m, cell_config(spec, protocol, p, q_c, m,
+                                              grid_users(m) if grid_users else None))
             for m in spec.grid_sizes for p in spec.p_values
             for protocol in spec.protocols for q_c in spec.qc_values]
+    if start is not None:
+        start()
     cells = []
     for protocol, p, q_c, m, config in plan:
         metrics = engine.run_experiment(config, workers=workers,
@@ -277,35 +282,34 @@ class DistanceRow:
     feasible: bool
 
 
+def _corners(m: int) -> tuple[int, ...]:
+    return (0, m - 1, m * (m - 1), m * m - 1)
+
+
 def distance_experiment(spec: SweepSpec, fidelity_floor: float = FIDELITY_FLOOR,
-                        workers: int | None = None, progress=None) -> list[DistanceRow]:
+                        workers: int | None = None, progress=None,
+                        start=None) -> list[DistanceRow]:
     """For each protocol and grid size, the cutoff maximising the rate while
-    the mean fidelity stays at or above the floor, at the spec's one p."""
+    the mean fidelity stays at or above the floor, at the spec's one p, for
+    users on the grid's corners; ``progress`` and ``start`` are ``run_sweep``'s."""
     if not 0.0 <= fidelity_floor <= 1.0:
         raise ConfigError(f"fidelity floor {fidelity_floor} outside [0, 1]")
     if len(spec.p_values) > 1:
         raise ConfigError(f"distance experiment takes one p, not {list(spec.p_values)}")
-    p = spec.p_values[0]
-    # every cell's configuration is built, and so checked, before any cell runs
-    plan = [(m, protocol, [cell_config(spec, protocol, p, q_c, m,
-                                       (0, m - 1, m * (m - 1), m * m - 1))
-                           for q_c in spec.qc_values])
-            for m in spec.grid_sizes for protocol in spec.protocols]
+    if spec.users is not None:
+        raise ConfigError("distance experiment places its users on the grid corners")
+    cells = run_sweep(spec, workers=workers, keep_trials=False, progress=progress,
+                      start=start, grid_users=_corners)
     rows = []
-    for m, protocol, configs in plan:
-        best: CellResult | None = None
-        for config in configs:
-            met = engine.run_experiment(config, workers=workers, keep_trials=False)
-            cell = CellResult(protocol, p, config.q_c, m, met)
-            if progress is not None:
-                progress(cell)
-            if not met.valid or math.isnan(met.mean_fidelity):
-                continue
-            if met.mean_fidelity < fidelity_floor:
-                continue
-            if best is None or met.dr > best.metrics.dr:
-                best = cell
-        dist = 3 * (m - 1)
+    # one run of cutoffs per (grid size, protocol), in sweep order
+    for i in range(0, len(cells), len(spec.qc_values)):
+        runs = cells[i:i + len(spec.qc_values)]
+        protocol, m = runs[0].protocol, runs[0].m
+        dist = topology.steiner_distance(topology.make_grid(m, runs[0].p, spec.w0),
+                                         _corners(m))
+        best = max((c for c in runs if c.metrics.valid
+                    and c.metrics.mean_fidelity >= fidelity_floor),
+                   key=lambda c: c.metrics.dr, default=None)
         if best is None:
             rows.append(DistanceRow(protocol, m, dist, None, 0.0, (0.0, 0.0),
                                     math.nan, False))

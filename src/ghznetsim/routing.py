@@ -50,11 +50,6 @@ def canon(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _close(a: Sequence[float], b: Sequence[float], tol: float = 1e-9) -> bool:
-    """Componentwise float equality; sums along different orders drift."""
-    return all(abs(x - y) <= tol * max(1.0, abs(x), abs(y)) for x, y in zip(a, b))
-
-
 def edge_cost_map(edges: Iterable[Edge], primary: Mapping[Edge, float],
                   secondary: Mapping[Edge, float] | None = None
                   ) -> dict[Edge, tuple[float, float]]:
@@ -282,40 +277,6 @@ def _tree_solution(edges: Iterable[Edge], users: Sequence[int]) -> RoutingSoluti
                            branches=tuple(branches), forks=frozenset(forks))
 
 
-def max_product_path(edges: Sequence[Edge], values: Mapping[Edge, float],
-                     u: int, v: int) -> tuple[int, ...]:
-    """Node path from u to v maximising the product of edge values.
-
-    Ties go to fewer hops, then to the lexicographically smallest node
-    sequence. Returns an empty path for u == v.
-    """
-    if u == v:
-        return ()
-    net = _Net(edge_cost_map(edges, values))
-    if u not in net.index or v not in net.index:
-        raise NoRouteError(f"no path between {u} and {v}")
-    iu, iv = net.index[u], net.index[v]
-    up, us, uh, _ = net.dijkstra(iu)
-    vp, vs, vh, _ = net.dijkstra(iv)
-    if up[iv] == _INF:
-        raise NoRouteError(f"no path between {u} and {v}")
-    total = (up[iv], us[iv], uh[iv])
-    # walk tight edges greedily: smallest next node that still lies on some
-    # optimal path gives the lexicographically smallest optimal sequence
-    path = [iu]
-    ap, as_, ah = 0.0, 0.0, 0
-    while path[-1] != iv:
-        for y, ep, es in net.adj[path[-1]]:
-            if vp[y] != _INF and _close(((ap + ep) + vp[y], (as_ + es) + vs[y],
-                                         (ah + 1) + vh[y]), total):
-                break
-        else:
-            raise RoutingError("tight-edge walk failed")  # unreachable
-        path.append(y)
-        ap, as_, ah = ap + ep, as_ + es, ah + 1
-    return tuple(net.nodes[x] for x in path)
-
-
 def _steiner_dp(net: _Net, terminals: Sequence[int]) -> set[Edge]:
     """Exact minimum-cost Steiner tree by dynamic programming over terminal subsets.
 
@@ -423,7 +384,8 @@ def exact_steiner_tree(edges: Sequence[Edge], values: Mapping[Edge, float],
 
 def approx_steiner_tree(edges: Sequence[Edge], values: Mapping[Edge, float],
                         terminals: Sequence[int]) -> RoutingSolution:
-    """Metric-closure 2-approximation of the maximum-product Steiner tree."""
+    """Kou-Markowsky-Berman 2-approximation of the maximum-product Steiner
+    tree: the paths of the metric closure's minimum spanning tree, thinned."""
     terminals = sorted(set(int(t) for t in terminals))
     if len(terminals) < 2:
         raise RoutingError("need at least two terminals")
@@ -461,12 +423,8 @@ def approx_steiner_tree(edges: Sequence[Edge], values: Mapping[Edge, float],
             p = parent[x]
             tree.add(canon(net.nodes[p], net.nodes[x]))
             x = p
-    tree = _prune_leaves(tree, set(terminals))
-    # overlapping closure paths can create cycles; thin them out
-    node_count = len({n for e in tree for n in e})
-    if len(tree) != node_count - 1:
-        return _spanning_fallback(tree, values, terminals)
-    return _tree_solution(tree, terminals)
+    # overlapping closure paths can create cycles
+    return _spanning_fallback(tree, values, terminals)
 
 
 def steiner_tree(edges: Sequence[Edge], values: Mapping[Edge, float],
@@ -482,7 +440,7 @@ def steiner_tree(edges: Sequence[Edge], values: Mapping[Edge, float],
 
 def _spanning_fallback(tree: set[Edge], values: Mapping[Edge, float],
                        terminals: Sequence[int]) -> RoutingSolution:
-    """Cheapest spanning tree of a small cyclic subgraph (Kruskal), then prune."""
+    """Cheapest spanning tree of the closure-path union (Kruskal), then prune."""
     ranked = sorted(tree, key=lambda e: (-math.log(values[e]), e))
     parent: dict[int, int] = {}
 
@@ -756,7 +714,4 @@ def select_multipath(live_edges: Sequence[Edge], werner: Mapping[Edge, float],
         return None
     if not star_flow_feasible(live_edges, users, center):
         return None
-    try:
-        return star_route(live_edges, werner, users, center)
-    except NoRouteError:
-        return None
+    return star_route(live_edges, werner, users, center)

@@ -13,7 +13,7 @@ import statistics
 
 import numpy as np
 
-from . import engine, noise, routing, statesim, topology
+from . import experiments, noise, routing, statesim, topology
 
 
 # ---------------------------------------------------------------------------
@@ -336,19 +336,11 @@ def suite_bound_gap(seed: int = 31, qc_values=(1, 3, 5, 8, 13, 20),
                     mean_tol: float = 0.005):
     """Realized GHZ states respect the bound chain; the branch-fidelity
     product tracks the exact fidelity closely on selected routes."""
-    from .experiments import CellResult
-
-    g = topology.make_grid(6, 0.1, 0.987)
-    cells = []
-    for protocol in ("mp-t", "sp-t", "mp-s", "sp-s"):
-        for q_c in qc_values:
-            config = engine.SimConfig(
-                graph=g, protocol=protocol, delta=0.99, q_c=q_c,
-                users=None, n_users=4, user_sets=n_sets,
-                target_successes=successes, max_set_timeslots=20_000, seed=seed)
-            metrics = engine.run_experiment(config, workers=1)
-            cells.append(CellResult(protocol, 0.1, q_c, 6, metrics))
-    stats = bound_chain_stats(cells)
+    spec = experiments.SweepSpec(
+        protocols=("mp-t", "sp-t", "mp-s", "sp-s"), qc_values=tuple(qc_values),
+        p_values=(0.1,), grid_sizes=(6,), user_sets=n_sets, target_successes=successes,
+        max_set_timeslots=20_000, seed=seed)
+    stats = bound_chain_stats(experiments.run_sweep(spec, workers=1))
     mean_gap = stats["mean_gap_usable"]
     ok = stats["violations"] == 0 and mean_gap < mean_tol
     return ok, (f"{stats['states']} states, {stats['violations']} chain violations, "

@@ -103,10 +103,12 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 def test_bad_sweep_value_exits_2_before_any_cell(tmp_path, capsys, argv):
     # the bad value comes after a good one, so a cell-by-cell check would
     # run the first cell before failing; a repeated flag overrides the base
-    base = ("--grid", "4", "--p", "0.2", "--user-sets", "1", "--successes", "3",
-            "--out", str(tmp_path / "x"))
-    assert run_cli(argv[0], *base, *argv[1:]) == cli.EXIT_CONFIG
-    assert "DR=" not in capsys.readouterr().out
+    # (distance takes no --user-sets: its users are the grid's corners)
+    base = ("--grid", "4", "--p", "0.2", "--successes", "3", "--out", str(tmp_path / "x"))
+    sets = ("--user-sets", "1") if argv[0] == "run" else ()
+    assert run_cli(argv[0], *base, *sets, *argv[1:]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "DR=" not in captured.out and "user-sets" not in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -119,9 +121,11 @@ def test_analysis_of_one_axis_value_rejects_more(tmp_path, capsys, argv):
     # value is refused, not run and then ignored
     out = tmp_path / "x"
     base = ("--protocol", "mp-t", "--Qc", "1", "--grid", "3", "--p", "0.3",
-            "--user-sets", "1", "--successes", "2", "--out", str(out))
-    assert run_cli(argv[0], *base, *argv[1:]) == cli.EXIT_CONFIG
-    assert "DR=" not in capsys.readouterr().out
+            "--successes", "2", "--out", str(out))
+    sets = ("--user-sets", "1") if argv[0] == "pareto" else ()
+    assert run_cli(argv[0], *base, *sets, *argv[1:]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "DR=" not in captured.out and "user-sets" not in captured.err
     assert not (out / "results.csv").exists()
     assert not (out / "distance.csv").exists()
 
@@ -182,6 +186,48 @@ def test_negative_seed_exits_2_before_any_cell(tmp_path, capsys):
     assert "seed -1" in captured.err and "DR=" not in captured.out
     assert not any((out / name).exists()
                    for name in ("results.csv", "summary.json", "trials.jsonl"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--users", "0,8", "--seed", "-1"),
+    ("distance", "--Qc", "2,0"),
+])
+def test_bad_cell_value_leaves_no_out_directory(tmp_path, capsys, argv):
+    # every cell is checked before --out is made or the banner printed
+    out = tmp_path / "o2"
+    assert run_cli(argv[0], "--protocol", "mp-t", "--grid", "3", "--Qc", "2",
+                   "--successes", "2", *argv[1:], "--out", str(out)) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "running sweep" not in captured.out and "distance experiment" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "distance"])
+def test_out_naming_a_file_exits_2_before_any_cell(tmp_path, capsys, command):
+    out = tmp_path / "file"
+    out.write_text("keep me\n")
+    assert run_cli(command, "--protocol", "mp-t", "--grid", "3", "--Qc", "2",
+                   "--successes", "2", "--out", str(out)) == cli.EXIT_CONFIG
+    assert "DR=" not in capsys.readouterr().out
+    assert out.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--users", "1,2,7"), ("--user-sets", "9")])
+def test_distance_rejects_user_options(tmp_path, capsys, flag, value):
+    # distance places its users on the grid corners, so neither option applies
+    out = tmp_path / "x"
+    base = ("distance", "--protocol", "sp-t", "--grid", "3", "--p", "0.3", "--Qc", "2",
+            "--successes", "3", "--out", str(out))
+    assert run_cli(*base, flag, value) == cli.EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    key = flag[2:].replace("-", "_")
+    cfg = tmp_path / "users.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert run_cli(*base, "--config", str(cfg)) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"{cfg}:1: unknown key {key}" in captured.err
+    assert "DR=" not in captured.out
+    assert not out.exists()
 
 
 def test_config_values_parse_as_single_tokens(tmp_path):
@@ -292,7 +338,9 @@ def test_pareto_reruns_a_sweep_of_another_spec(tmp_path, capsys):
 def test_empty_sweep_axis_exits_2(tmp_path, capsys, command, flag):
     args = {"--protocol": "mp-t", "--Qc": "2", "--p": "0.4", "--grid": "3"}
     args[flag] = ","
-    argv = [command, "--users", "0,8", "--successes", "2", "--out", str(tmp_path / "x")]
+    # distance takes no --users: its users are the grid's corners
+    users = ("--users", "0,8") if command != "distance" else ()
+    argv = [command, *users, "--successes", "2", "--out", str(tmp_path / "x")]
     for name, value in args.items():
         argv += [name, value]
     assert run_cli(*argv) == cli.EXIT_CONFIG

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from ghznetsim import experiments
+from ghznetsim.engine import ConfigError
 from ghznetsim.experiments import (
     Point,
     SweepSpec,
@@ -127,3 +128,10 @@ def test_distance_rows(tmp_path):
     experiments.write_distance_csv(rows, tmp_path / "distance.csv")
     lines = (tmp_path / "distance.csv").read_text().splitlines()
     assert len(lines) == 2
+
+
+def test_distance_rejects_explicit_users():
+    # the users are each grid's corners; a spec's own set would be ignored
+    spec = tiny_spec(protocols=("mp-t",), qc_values=(1,), grid_sizes=(3,), users=(1, 2, 7))
+    with pytest.raises(ConfigError, match="corners"):
+        experiments.distance_experiment(spec, workers=1)

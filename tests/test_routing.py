@@ -1,10 +1,15 @@
 import itertools
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+if __name__ == "__main__":
+    # the fixture recorder runs as a script: record from this checkout's src/
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ghznetsim import routing, topology, validation
 from ghznetsim.routing import NoRouteError, RoutingError, UnsupportedSizeError
@@ -15,32 +20,21 @@ def grid_values(g, value):
     return {e: value for e in g.edges}
 
 
-def test_max_product_path_prefers_reliable_detour():
+def test_steiner_two_terminals_prefers_reliable_detour():
     edges = [(0, 1), (0, 2), (1, 2)]
     values = {(0, 1): 0.9, (0, 2): 0.99, (1, 2): 0.99}
-    assert routing.max_product_path(edges, values, 0, 1) == (0, 2, 1)
+    assert routing.steiner_tree(edges, values, [0, 1]).branches == ((0, 2, 1),)
 
 
-def test_max_product_path_same_node():
-    assert routing.max_product_path([(0, 1)], {(0, 1): 0.5}, 0, 0) == ()
-
-
-def test_max_product_path_uniform_is_min_hop():
+def test_steiner_two_terminals_uniform_is_min_hop():
     g = topology.make_grid(4, 0.5, 0.9)
-    path = routing.max_product_path(g.edges, grid_values(g, 0.5), 0, 15)
-    assert len(path) - 1 == 6  # Manhattan distance on the grid
+    sol = routing.steiner_tree(g.edges, grid_values(g, 0.5), [0, 15])
+    assert sol.size == 6  # Manhattan distance on the grid
 
 
-def test_max_product_path_lexicographic_tie_break():
-    g = topology.make_grid(3, 0.5, 0.9)
-    # many equal-cost monotone paths exist; the walk must pick the smallest
-    path = routing.max_product_path(g.edges, grid_values(g, 0.5), 0, 8)
-    assert path == (0, 1, 2, 5, 8)
-
-
-def test_max_product_path_no_route():
+def test_steiner_two_terminals_no_route():
     with pytest.raises(NoRouteError):
-        routing.max_product_path([(0, 1), (2, 3)], {(0, 1): 0.5, (2, 3): 0.5}, 0, 3)
+        routing.steiner_tree([(0, 1), (2, 3)], {(0, 1): 0.5, (2, 3): 0.5}, [0, 3])
 
 
 def test_exact_steiner_two_terminals_is_shortest_path():
@@ -48,10 +42,9 @@ def test_exact_steiner_two_terminals_is_shortest_path():
     rng = np.random.default_rng(1)
     values = {e: float(v) for e, v in zip(g.edges, rng.uniform(0.2, 0.95, g.n_edges))}
     sol = routing.exact_steiner_tree(g.edges, values, [0, 15])
-    path = routing.max_product_path(g.edges, values, 0, 15)
-    got = math.prod(values[e] for e in sol.edges)
-    want = math.prod(values[routing.canon(a, b)] for a, b in zip(path, path[1:]))
-    assert got == pytest.approx(want, rel=1e-12)
+    # a one-user star from centre 0 is a path to 15: enumeration of every path
+    want = brute_force_star_cost(g.edges, values, [15], 0)
+    assert -sum(math.log(values[e]) for e in sol.edges) == pytest.approx(want, rel=1e-12)
     assert len(sol.branches) == 1
 
 
@@ -180,6 +173,34 @@ def test_star_route_matches_enumeration():
             assert got is None
         else:
             assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_star_flow_feasible_matches_enumeration_and_star_route():
+    # random graphs as in validation.suite_star_flow_oracle; select_multipath
+    # calls star_route only where this precheck passed, so it must not fail
+    rng = np.random.default_rng(19)
+    outcomes = set()
+    for _ in range(60):
+        n = int(rng.integers(5, 9))
+        pairs = list(itertools.combinations(range(n), 2))
+        rng.shuffle(pairs)
+        edges = sorted(pairs[: int(rng.integers(n - 1, 13))])
+        values = {e: float(v) for e, v in zip(edges, rng.uniform(0.1, 0.99, len(edges)))}
+        nodes = sorted({x for e in edges for x in e})
+        center = nodes[0]
+        others = nodes[1:]
+        users = sorted(rng.choice(others, size=int(rng.integers(2, min(4, len(others)) + 1)),
+                                  replace=False).tolist())
+        feasible = routing.star_flow_feasible(edges, users, center)
+        assert feasible == (brute_force_star_cost(edges, values, users, center) is not None)
+        try:
+            routing.star_route(edges, values, users, center)
+            routed = True
+        except NoRouteError:
+            routed = False
+        assert feasible == routed
+        outcomes.add(feasible)
+    assert outcomes == {True, False}
 
 
 def test_lexicographic_oracle_suite():
@@ -373,8 +394,6 @@ def _outcome(fn, *args, **kwargs):
         sol = fn(*args, **kwargs)
     except RoutingError as exc:
         return type(exc).__name__
-    if isinstance(sol, tuple):
-        return list(sol)
     return {"edges": [list(e) for e in sol.edges],
             "branches": [list(b) for b in sol.branches], "center": sol.center}
 
@@ -408,8 +427,6 @@ def _golden_case(seed):
         "star": _outcome(routing.star_route, live, values, terminals, center),
         "star_secondary": _outcome(routing.star_route, live, values, terminals,
                                    center, secondary=secondary),
-        "path": _outcome(routing.max_product_path, live, values,
-                         terminals[0], terminals[-1]),
         "approx": _outcome(routing.approx_steiner_tree, live, values, terminals),
     }
     if seed % 4 == 0:
@@ -422,8 +439,8 @@ def _golden_case(seed):
 
 def _fallback_case():
     """A 6x6 snapshot with 7 terminals whose metric-closure paths overlap
-    into a cycle, so the approximation ends in the spanning-tree fallback
-    (found by searching seeded three-level snapshots)."""
+    into a cycle, so the spanning tree drops an edge of their union (found by
+    searching seeded three-level snapshots)."""
     rng = np.random.default_rng([13, 1782])
     m = int(rng.integers(4, 7))
     g = topology.make_grid(m, 0.5, 0.9)
@@ -448,7 +465,7 @@ def test_golden_tie_breaks():
              if got[case][call] != want[case][call]]
     assert not wrong, f"{len(wrong)} routes differ from the recorded ones: {wrong[:5]}"
     routed = [v for case in want.values() for v in case.values() if not isinstance(v, str)]
-    assert len(routed) > 1000
+    assert len(routed) > 800
 
 
 def test_approx_steiner_spanning_fallback(monkeypatch):
@@ -464,10 +481,10 @@ def test_approx_steiner_spanning_fallback(monkeypatch):
     assert len(terminals) >= 7
     sol = routing.approx_steiner_tree(live, values, terminals)
     assert len(calls) == 1
+    assert sol.size < len(calls[0][0])   # the union held a cycle
     sol.check(terminals)
 
 
 if __name__ == "__main__":
-    # records the fixture from whichever ghznetsim is importable
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(golden_outcomes(), separators=(",", ":"), sort_keys=True) + "\n")
