@@ -150,11 +150,16 @@ def build_parser() -> argparse.ArgumentParser:
 def build_spec(opts: argparse.Namespace) -> SweepSpec:
     """The sweep the options ask for: the options given, on top of the
     ``--scale`` preset and ``SweepSpec``'s own defaults."""
-    given = dict(w0=opts.w0, delta=opts.delta, user_sets=getattr(opts, "user_sets", None),
+    users = getattr(opts, "users", None) or {}
+    user_sets = getattr(opts, "user_sets", None)
+    if "users" in users and user_sets is not None:
+        raise CliError("--user-sets counts sampled user sets (--users random:N); "
+                       "an explicit --users list is one set")
+    given = dict(w0=opts.w0, delta=opts.delta, user_sets=user_sets,
                  target_successes=opts.successes,
                  max_set_timeslots=opts.max_timeslots, seed=opts.seed,
                  protocols=opts.protocol, qc_values=opts.Qc, p_values=opts.p,
-                 grid_sizes=opts.grid, **(getattr(opts, "users", None) or {}))
+                 grid_sizes=opts.grid, **users)
     return SweepSpec(**{**SCALES[opts.scale],
                         **{k: v for k, v in given.items() if v is not None}})
 

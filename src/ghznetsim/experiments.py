@@ -219,30 +219,25 @@ def frontier_dominates(better: list[Point], worse: list[Point]) -> bool:
         for w in worse)
 
 
+def _best_matched_ratio(ours: list[Point], base: list[Point], gain: str,
+                       hold: str) -> float:
+    """Largest ratio of ``gain`` between point pairs where ours is at least
+    as good as the base on ``hold``; nan if no pair qualifies."""
+    return max((getattr(a, gain) / getattr(b, gain) for a in ours for b in base
+                if getattr(a, hold) >= getattr(b, hold) and getattr(b, gain) > 0),
+               default=math.nan)
+
+
 def max_rate_speedup(fast: list[Point], slow: list[Point]) -> float:
     """Largest rate ratio between point pairs where the fast protocol's
     fidelity is at least as good as the slow one's."""
-    best = math.nan
-    for a in fast:
-        for b in slow:
-            if a.fidelity >= b.fidelity and b.dr > 0:
-                ratio = a.dr / b.dr
-                if math.isnan(best) or ratio > best:
-                    best = ratio
-    return best
+    return _best_matched_ratio(fast, slow, "dr", "fidelity")
 
 
 def max_fidelity_gain(better: list[Point], base: list[Point]) -> float:
     """Largest relative fidelity gain between point pairs where the improved
     protocol's rate is at least as good as the baseline's."""
-    best = math.nan
-    for a in better:
-        for b in base:
-            if a.dr >= b.dr and b.fidelity > 0:
-                gain = a.fidelity / b.fidelity - 1.0
-                if math.isnan(best) or gain > best:
-                    best = gain
-    return best
+    return _best_matched_ratio(better, base, "fidelity", "dr") - 1.0
 
 
 def comparison_stats(rows: list[dict], p: float | None = None,

@@ -15,8 +15,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import routing
 from .noise import check_werner, werner_to_fidelity, werner_tree_fidelity
 from .topology import NetworkGraph, TopologyError, centroid_node
@@ -59,7 +57,7 @@ def initialize(kind: Protocol | str, g: NetworkGraph, users) -> ProtocolState:
     g.require_connected()
 
     planned = None
-    tracked = tuple(enumerate(g.gen_prob.tolist()))
+    tracked = tuple(enumerate(g.gen_prob))
     center = None
     if kind.is_single_path:
         planned = routing.select_single_path(g, users, kind.routing_kind)
@@ -104,12 +102,10 @@ def try_complete(state: ProtocolState, links, delta: float) -> routing.RoutingSo
     if state.center_incidence is not None:
         if sum(born[i] > expired for i in state.center_incidence) < len(state.users):
             return None
-    live_idx = [i for i, b in enumerate(born) if b > expired]
-    graph = links.graph
-    live_edges = [graph.edges[i] for i in live_idx]
-    w_now = graph.w0[live_idx] * delta ** np.array([t - born[i] for i in live_idx])
-    werner = {graph.edges[i]: float(w) for i, w in zip(live_idx, w_now)}
-    return routing.select_multipath(live_edges, werner, state.users,
+    edges, w0 = links.graph.edges, links.graph.w0
+    werner = {edges[i]: w0[i] * delta ** (t - b)
+              for i, b in enumerate(born) if b > expired}
+    return routing.select_multipath(list(werner), werner, state.users,
                                     state.kind.routing_kind, center=state.center)
 
 
@@ -141,23 +137,24 @@ def realize_ghz(solution: routing.RoutingSolution, links, delta: float,
     branch's links swap into one Werner state with their product. Raises if
     any solution edge has no live link (caller bug).
     """
-    graph = links.graph
+    graph, t = links.graph, links.t
     idx = [graph.edge_index[e] for e in solution.edges]
-    ages = [links.t - links.born[i] for i in idx]
-    if max(ages) >= links.q_c:
+    born = [links.born[i] for i in idx]
+    if t - min(born) >= links.q_c:
         raise RuntimeError("routing solution includes an edge with no live link")
-    w_use = {e: float(graph.w0[i]) * delta ** a
-             for e, i, a in zip(solution.edges, idx, ages)}
+    w0 = graph.w0
+    # try_complete's expression, so these are the values routing ranked
+    w_use = {e: w0[i] * delta ** (t - b) for e, i, b in zip(solution.edges, idx, born)}
 
     branches = [(a, b, math.prod(map(check_werner, ws)))
                 for a, b, ws in routing.branch_specs(solution.branches, w_use)]
     prod_fb = math.prod(werner_to_fidelity(w) for _, _, w in branches)
     fidelity = werner_tree_fidelity(branches, users)
 
-    mean_age = sum(ages) / len(ages)
+    mean_age = sum(t - b for b in born) / len(born)
     r_size = len(solution.edges)
     w_r = math.prod(w_use.values())
-    w0_prod = math.prod(float(graph.w0[i]) for i in idx)
+    w0_prod = math.prod(w0[i] for i in idx)
     floor = w0_prod * delta ** (mean_age * r_size)
     return TrialResult(status="success", timeslots=links.t, fidelity=fidelity,
                        r_size=r_size, mean_age=mean_age, werner_product=w_r,

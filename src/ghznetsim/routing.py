@@ -628,7 +628,8 @@ def star_flow_feasible(edges: Sequence[Edge], users: Sequence[int], center: int)
     pass, so callers use it to filter infeasible link-state snapshots.
     """
     users = sorted(set(int(u) for u in users))
-    flow = _FlowNet(sorted(canon(*e) for e in edges), users)
+    # one unit of capacity per distinct edge, as in star_route's cost map
+    flow = _FlowNet(sorted({canon(*e) for e in edges}), users)
     if center not in flow.index:
         return False
     return flow.saturate(flow.index[center], len(users)) == len(users)
@@ -650,8 +651,8 @@ def select_single_path(g: NetworkGraph, users: Sequence[int],
     """
     users = sorted(set(int(u) for u in users))
     g.require_connected()
-    p_map = {e: p for e, p in zip(g.edges, g.gen_prob)}
-    w_map = {e: w for e, w in zip(g.edges, g.w0)}
+    p_map = dict(zip(g.edges, g.gen_prob))
+    w_map = dict(zip(g.edges, g.w0))
     if kind == "tree":
         return steiner_tree(g.edges, p_map, users, secondary=w_map)
     if kind != "star":

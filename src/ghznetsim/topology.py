@@ -2,7 +2,7 @@
 
 Nodes are dense integers ``0..n-1``. Edges are unordered pairs ``(u, v)`` with
 ``u < v``, each carrying a Bell-state generation probability and an initial
-Werner parameter, held as read-only float64 arrays in edge order. Graphs are
+Werner parameter, held as tuples of floats in edge order. Graphs are
 immutable after construction and safe to share between threads or processes.
 """
 
@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 
 class TopologyError(ValueError):
@@ -51,9 +49,8 @@ class NetworkGraph:
             w0.append(float(w))
         order = sorted(range(len(edge_list)), key=lambda i: edge_list[i])
         self.edges: tuple[tuple[int, int], ...] = tuple(edge_list[i] for i in order)
-        self.gen_prob = np.array([gen_prob[i] for i in order], dtype=np.float64)
-        self.w0 = np.array([w0[i] for i in order], dtype=np.float64)
-        self.gen_prob.flags.writeable = self.w0.flags.writeable = False
+        self.gen_prob: tuple[float, ...] = tuple(gen_prob[i] for i in order)
+        self.w0: tuple[float, ...] = tuple(w0[i] for i in order)
         self.edge_index: dict[tuple[int, int], int] = {e: i for i, e in enumerate(self.edges)}
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_nodes)]
         for i, (u, v) in enumerate(self.edges):

@@ -230,6 +230,29 @@ def test_distance_rejects_user_options(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "pareto"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_user_sets_beside_explicit_users_exits_2(tmp_path, capsys, command, via):
+    # an explicit --users list is one user set, so a count of sampled sets
+    # beside it could only be ignored; it is refused before any cell runs
+    out = tmp_path / "x"
+    base = (command, "--protocol", "sp-t", "--grid", "3", "--p", "0.5", "--Qc", "2",
+            "--successes", "2", "--out", str(out))
+    if via == "flag":
+        argv = (*base, "--users", "0,8", "--user-sets", "5")
+    else:
+        cfg = tmp_path / "users.cfg"
+        cfg.write_text("users = 0,8\nuser_sets = 5\n")
+        argv = (*base, "--config", str(cfg))
+    assert run_cli(*argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "--user-sets" in captured.err and "DR=" not in captured.out
+    assert not out.exists()
+    # sampled users take a set count
+    opts = cli.build_parser().parse_args([command, "--users", "random:3", "--user-sets", "5"])
+    assert cli.build_spec(opts).user_sets == 5
+
+
 def test_config_values_parse_as_single_tokens(tmp_path):
     # a value that starts with '-' is still the key's value, not a flag
     cfg = tmp_path / "sweep.cfg"

@@ -67,7 +67,7 @@ def test_step_draws_one_uniform_per_free_tracked_edge_in_edge_order():
     for _ in range(30):
         born = np.asarray(links.born)
         free = np.nonzero(born <= links.t + 1 - links.q_c)[0]
-        hits = free[reference.random(free.size) < g.gen_prob[free]]
+        hits = free[reference.random(free.size) < np.asarray(g.gen_prob)[free]]
         before = drawn(links)
         made = engine.step(links, state)
         assert drawn(links) - before == free.size
@@ -132,19 +132,20 @@ def reference_trial(g, state, delta, q_c, max_timeslots, rng):
     """The engine before buffered uniforms: one ``rng.random(n_free)`` per
     slot on a numpy ``born``, and a full completion check in every slot."""
     tracked = np.array([i for i, _ in state.tracked], dtype=np.int64)
+    gen_prob = np.asarray(g.gen_prob)
     born = np.full(g.n_edges, -q_c, dtype=np.int64)
     for t in range(1, max_timeslots + 1):
         expired = t - q_c
         free = tracked[born[tracked] <= expired]
         if free.size:
-            hits = rng.random(free.size) < g.gen_prob[free]
+            hits = rng.random(free.size) < gen_prob[free]
             born[free[hits]] = t
         if state.planned_route is not None:
             solution = state.planned_route if (born[tracked] > expired).all() else None
         else:
-            live = np.nonzero(born > expired)[0]
-            w_now = g.w0[live] * delta ** (t - born[live])
-            werner = {g.edges[i]: float(w) for i, w in zip(live, w_now)}
+            live = np.nonzero(born > expired)[0].tolist()
+            # the engine's rule for a link's value: Python floats, Python int ages
+            werner = {g.edges[i]: g.w0[i] * delta ** (t - int(born[i])) for i in live}
             solution = routing.select_multipath(
                 [g.edges[i] for i in live], werner, state.users,
                 state.kind.routing_kind, center=state.center)

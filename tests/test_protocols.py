@@ -120,12 +120,41 @@ def test_mp_t_beats_mp_s_on_same_snapshot():
         if t_sol is None or s_sol is None:
             continue
         compared += 1
-        w = {e: float(v) for e, v in
-             zip(g.edges, g.w0 * 0.99 ** (links.t - np.asarray(links.born)))}
+        w = {e: w0 * 0.99 ** (links.t - b)
+             for e, w0, b in zip(g.edges, g.w0, links.born)}
         w_t = math.prod(w[e] for e in t_sol.edges)
         w_s = math.prod(w[e] for e in s_sol.edges)
         assert w_t >= w_s - 1e-12
     assert compared > 10
+
+
+@pytest.mark.parametrize("protocol", ["mp-t", "mp-s"])
+def test_routing_ranks_the_values_that_are_realised(monkeypatch, protocol):
+    # one rule for a link's Werner value, w0 * delta ** age in Python floats:
+    # the map routing ranks holds exactly the values the GHZ state is built from
+    g = topology.make_grid(4, 0.5, 0.987)
+    users = (0, 3, 12, 15)
+    state = protocols.initialize(protocol, g, users)
+    links = LinkState(g, q_c=6)
+    links.t = 10
+    for i in range(g.n_edges):
+        links.born[i] = links.t - (1 + i % 4)       # ages 1 to 4
+    seen = []
+    select = routing.select_multipath
+
+    def capture(live_edges, werner, *args, **kwargs):
+        seen.append(dict(werner))
+        return select(live_edges, werner, *args, **kwargs)
+
+    monkeypatch.setattr(routing, "select_multipath", capture)
+    sol = protocols.try_complete(state, links, 0.99)
+    (werner,) = seen
+    assert sorted(werner) == sorted(g.edges)
+    for e, w in werner.items():
+        i = g.edge_index[e]
+        assert w.hex() == (g.w0[i] * 0.99 ** (links.t - links.born[i])).hex()
+    realized = protocols.realize_ghz(sol, links, 0.99, users)
+    assert realized.werner_product.hex() == math.prod(werner[e] for e in sol.edges).hex()
 
 
 def test_realize_perfect_links():

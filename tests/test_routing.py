@@ -201,6 +201,13 @@ def test_star_flow_feasible_matches_enumeration_and_star_route():
         assert feasible == routed
         outcomes.add(feasible)
     assert outcomes == {True, False}
+    # an edge listed twice is one link, so it carries one branch, not two
+    edges = [(0, 1), (1, 0), (1, 2)]
+    values = {(0, 1): 0.9, (1, 2): 0.9}
+    assert not routing.star_flow_feasible(edges, [1, 2], 0)
+    with pytest.raises(NoRouteError):
+        routing.star_route(edges, values, [1, 2], 0)
+    assert routing.select_multipath(edges, values, [1, 2], "star", center=0) is None
 
 
 def test_lexicographic_oracle_suite():
