@@ -45,9 +45,7 @@ class SimConfig:
     protocol: str
     delta: float
     q_c: int
-    users: tuple[int, ...] | None = None   # explicit user set, or None to sample
-    n_users: int = 4
-    user_sets: int = 1
+    user_sets: tuple[tuple[int, ...], ...]
     target_successes: int = 100
     max_set_timeslots: int = 100_000
     seed: int = 0
@@ -59,25 +57,21 @@ class SimConfig:
             raise ConfigError(f"delta {self.delta} outside (0, 1]")
         if self.target_successes < 1:
             raise ConfigError("target_successes must be positive")
-        if self.user_sets < 1:
-            raise ConfigError("user_sets must be positive")
+        if not self.user_sets:
+            raise ConfigError("need at least one user set")
         if self.seed < 0:
             raise ConfigError(f"seed {self.seed} must be non-negative")
         if self.max_set_timeslots < 1:
             raise ConfigError("timeslot budget must be positive")
-        if self.users is not None and len(self.users) < 2:
-            raise ConfigError("need at least two users")
-        if self.users is None and self.n_users < 2:
-            raise ConfigError("need at least two users")
         n_nodes = self.graph.n_nodes
-        if self.users is not None:
-            if len(set(self.users)) != len(self.users):
-                raise ConfigError(f"duplicate users in {tuple(self.users)}")
-            outside = [u for u in self.users if not 0 <= u < n_nodes]
+        for users in self.user_sets:
+            if len(users) < 2:
+                raise ConfigError("need at least two users")
+            if len(set(users)) != len(users):
+                raise ConfigError(f"duplicate users in {tuple(users)}")
+            outside = [u for u in users if not 0 <= u < n_nodes]
             if outside:
                 raise ConfigError(f"users {outside} outside the node range [0, {n_nodes})")
-        elif self.n_users > n_nodes:
-            raise ConfigError(f"{self.n_users} users but only {n_nodes} nodes")
         try:
             protocols.Protocol(self.protocol)
         except ValueError as exc:
@@ -143,7 +137,6 @@ class SetMetrics:
     """Aggregated outcomes for one user set; the defaults describe a set
     that ran no trials ("infeasible" or "skipped")."""
 
-    users: tuple[int, ...]
     status: str                 # "ok", "infeasible" (no static route exists)
                                 # or "skipped" (early omit)
     successes: int = 0
@@ -163,7 +156,7 @@ def run_user_set(config: SimConfig, users: tuple[int, ...], set_idx: int,
     try:
         state = protocols.initialize(config.protocol, config.graph, users)
     except NoRouteError:
-        return SetMetrics(users=users, status="infeasible")
+        return SetMetrics(status="infeasible")
     consumed = 0
     trials: list[TrialResult] = []
     successes = 0
@@ -191,7 +184,7 @@ def run_user_set(config: SimConfig, users: tuple[int, ...], set_idx: int,
     dr = successes / consumed if consumed else 0.0
     ci = dr_confidence_interval(successes, consumed) if consumed else (0.0, 0.0)
     return SetMetrics(
-        users=users, status="ok", successes=successes, timeouts=timeouts,
+        status="ok", successes=successes, timeouts=timeouts,
         total_timeslots=consumed, dr=dr, dr_ci=ci,
         mean_fidelity=fid_sum / successes if successes else math.nan,
         mean_r_size=rs_sum / successes if successes else math.nan,
@@ -203,8 +196,6 @@ def run_user_set(config: SimConfig, users: tuple[int, ...], set_idx: int,
 class AggregateMetrics:
     """Pooled outcomes over all user sets of one experiment cell."""
 
-    protocol: str
-    q_c: int
     sets: tuple[SetMetrics, ...]
     dr: float
     dr_ci: tuple[float, float]
@@ -218,22 +209,8 @@ class AggregateMetrics:
     omit_reason: str = ""
 
 
-def sample_user_sets(config: SimConfig) -> list[tuple[int, ...]]:
-    """The experiment's user sets: explicit, or sampled from the root seed."""
-    if config.users is not None:
-        return [tuple(sorted(int(u) for u in config.users))] * config.user_sets
-    seq = np.random.SeedSequence(config.seed, spawn_key=(1,))
-    rng = np.random.Generator(np.random.PCG64(seq))
-    sets = []
-    for _ in range(config.user_sets):
-        picks = rng.choice(config.graph.n_nodes, size=config.n_users, replace=False)
-        sets.append(tuple(sorted(int(u) for u in picks)))
-    return sets
-
-
 def _worker(args) -> SetMetrics:
-    config, users, set_idx, keep_trials = args
-    return run_user_set(config, users, set_idx, keep_trials)
+    return run_user_set(*args)
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -253,13 +230,10 @@ def run_experiment(config: SimConfig, workers: int | None = None,
     any valid result. The first set always runs alone, so this decision is
     identical whether or not the remaining sets run in parallel.
     """
-    user_sets = sample_user_sets(config)
-    jobs = [(config, users, i, keep_trials) for i, users in enumerate(user_sets)]
+    jobs = [(config, users, i, keep_trials) for i, users in enumerate(config.user_sets)]
     first = _worker(jobs[0])
-    if len(jobs) > 1 and (first.successes == 0 or first.status == "infeasible"):
-        skipped = tuple(SetMetrics(users=users, status="skipped")
-                        for _, users, _, _ in jobs[1:])
-        return aggregate(config, (first,) + skipped)
+    if len(jobs) > 1 and first.successes == 0:      # an infeasible set has none
+        return aggregate((first,) + (SetMetrics(status="skipped"),) * (len(jobs) - 1))
     rest = jobs[1:]
     n_workers = resolve_workers(workers)
     if n_workers > 1 and len(rest) > 1:
@@ -267,48 +241,45 @@ def run_experiment(config: SimConfig, workers: int | None = None,
             sets = [first] + list(pool.map(_worker, rest))
     else:
         sets = [first] + [_worker(job) for job in rest]
-    return aggregate(config, tuple(sets))
+    return aggregate(tuple(sets))
 
 
-def aggregate(config: SimConfig, sets: tuple[SetMetrics, ...]) -> AggregateMetrics:
-    """Pool per-set metrics over the computed sets and apply the omission rule.
+def aggregate(sets: tuple[SetMetrics, ...]) -> AggregateMetrics:
+    """Pool per-set metrics and apply the omission rule.
 
     DR is pooled: total successes over total timeslots, the quantity that
     ``dr_ci`` describes. Fidelity, route size and link age are means of the
-    per-set means over sets with at least one success.
+    per-set means over sets with at least one success. A skipped set adds
+    nothing to any total.
 
     A datapoint is marked invalid when any user set recorded zero successes
     (including infeasible static routes) or the total success count falls
     below two per user set.
     """
-    computed = [s for s in sets if s.status != "skipped"]
-    successes = sum(s.successes for s in computed)
-    timeouts = sum(s.timeouts for s in computed)
-    slots = sum(s.total_timeslots for s in computed)
-    ok = [s for s in computed if s.successes > 0]
+    successes = sum(s.successes for s in sets)
+    timeouts = sum(s.timeouts for s in sets)
+    slots = sum(s.total_timeslots for s in sets)
+    ok = [s for s in sets if s.successes > 0]
     min_total = 2 * len(sets)
-    valid = (len(computed) == len(sets)
-             and all(s.successes > 0 for s in computed)
-             and successes >= min_total)
-    reason = ""
-    if not valid:
-        if any(s.status == "infeasible" for s in computed):
-            reason = "infeasible user set"
-        elif any(s.status == "skipped" for s in sets):
-            reason = "stopped early: first user set had zero successes"
-        elif any(s.successes == 0 for s in computed):
-            reason = "user set with zero successes"
-        else:
-            reason = f"only {successes} successes (minimum {min_total})"
+    if any(s.status == "infeasible" for s in sets):
+        reason = "infeasible user set"
+    elif any(s.status == "skipped" for s in sets):
+        reason = "stopped early: first user set had zero successes"
+    elif any(s.successes == 0 for s in sets):
+        reason = "user set with zero successes"
+    elif successes < min_total:
+        reason = f"only {successes} successes (minimum {min_total})"
+    else:
+        reason = ""
     dr = successes / slots if slots else 0.0
     ci = dr_confidence_interval(successes, slots) if slots else (0.0, 0.0)
     return AggregateMetrics(
-        protocol=config.protocol, q_c=config.q_c, sets=sets, dr=dr, dr_ci=ci,
+        sets=sets, dr=dr, dr_ci=ci,
         mean_fidelity=float(np.mean([s.mean_fidelity for s in ok])) if ok else math.nan,
         mean_r_size=float(np.mean([s.mean_r_size for s in ok])) if ok else math.nan,
         mean_age=float(np.mean([s.mean_age for s in ok])) if ok else math.nan,
         successes=successes, timeouts=timeouts, total_timeslots=slots,
-        valid=valid, omit_reason=reason)
+        valid=not reason, omit_reason=reason)
 
 
 def dr_confidence_interval(successes: int, timeslots: int) -> tuple[float, float]:

@@ -1,9 +1,9 @@
 """Experiment sweeps, matched protocol comparisons and result files.
 
 A sweep runs one experiment cell per (protocol, generation probability,
-cutoff, grid size) combination, all from one root seed so that every
-protocol sees identical user sets. Results are written as a CSV of per-set
-and pooled rows, a JSON summary, and optionally JSON-lines trial records.
+cutoff, grid size) combination from one root seed, and every cell of a grid
+size runs the same user sets. Results are written as a CSV of per-set and
+pooled rows, a JSON summary, and optionally JSON-lines trial records.
 All floating-point output uses 17 significant digits so files round-trip
 exactly and re-runs are byte-identical.
 """
@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import engine, topology
 from .engine import AggregateMetrics, ConfigError, SimConfig
@@ -27,7 +29,7 @@ SCALES = {
     "full": dict(user_sets=100, target_successes=300, max_set_timeslots=1_000_000),
 }
 
-FIDELITY_FLOOR = 2.0 / 3.0      # the distance experiment's default floor
+FIDELITY_FLOOR = 2.0 / 3.0      # usefulness floor: distance default, validate cut
 
 
 def fmt(x) -> str:
@@ -68,16 +70,33 @@ class CellResult:
     metrics: AggregateMetrics
 
 
+def user_sets(spec: SweepSpec, n_nodes: int) -> tuple[tuple[int, ...], ...]:
+    """The user sets that every cell on an ``n_nodes`` graph runs: the spec's
+    explicit set, once, or ``spec.user_sets`` sets drawn from the root seed."""
+    if spec.users is not None:
+        return (tuple(sorted(int(u) for u in spec.users)),)
+    # checked here, before sampling, because numpy's own errors would escape
+    if spec.n_users < 2:
+        raise ConfigError("need at least two users")
+    if spec.n_users > n_nodes:
+        raise ConfigError(f"{spec.n_users} users but only {n_nodes} nodes")
+    if spec.user_sets < 1:
+        raise ConfigError("user_sets must be positive")
+    if spec.seed < 0:
+        raise ConfigError(f"seed {spec.seed} must be non-negative")
+    seq = np.random.SeedSequence(spec.seed, spawn_key=(1,))
+    rng = np.random.Generator(np.random.PCG64(seq))
+    picks = (rng.choice(n_nodes, size=spec.n_users, replace=False)
+             for _ in range(spec.user_sets))
+    return tuple(tuple(sorted(int(u) for u in pick)) for pick in picks)
+
+
 def cell_config(spec: SweepSpec, protocol: str, p: float, q_c: int, m: int,
-                users: tuple[int, ...] | None = None) -> SimConfig:
-    """One cell of the sweep; ``users``, if given, replaces the spec's."""
-    graph = topology.make_grid(m, p, spec.w0)
-    users = spec.users if users is None else users
+                sets: tuple[tuple[int, ...], ...]) -> SimConfig:
+    """One cell of the sweep, on the m x m grid's user sets ``sets``."""
     return SimConfig(
-        graph=graph, protocol=protocol, delta=spec.delta, q_c=q_c,
-        users=users, n_users=spec.n_users,
-        user_sets=1 if users is not None else spec.user_sets,
-        target_successes=spec.target_successes,
+        graph=topology.make_grid(m, p, spec.w0), protocol=protocol, delta=spec.delta,
+        q_c=q_c, user_sets=sets, target_successes=spec.target_successes,
         max_set_timeslots=spec.max_set_timeslots, seed=spec.seed)
 
 
@@ -86,8 +105,9 @@ def run_sweep(spec: SweepSpec, workers: int | None = None, keep_trials: bool = T
     """Every cell, in order: ``start()`` runs once all are checked, ``progress(cell)``
     after each; ``grid_users(m)``, if given, is each m x m cell's one user set."""
     # every cell's configuration is built, and so checked, before any cell runs
-    plan = [(protocol, p, q_c, m, cell_config(spec, protocol, p, q_c, m,
-                                              grid_users(m) if grid_users else None))
+    sets = {m: (grid_users(m),) if grid_users else user_sets(spec, m * m)
+            for m in spec.grid_sizes}
+    plan = [(protocol, p, q_c, m, cell_config(spec, protocol, p, q_c, m, sets[m]))
             for m in spec.grid_sizes for p in spec.p_values
             for protocol in spec.protocols for q_c in spec.qc_values]
     if start is not None:
@@ -103,18 +123,15 @@ def run_sweep(spec: SweepSpec, workers: int | None = None, keep_trials: bool = T
 
 
 def csv_rows(cells: list[CellResult]) -> list[str]:
+    """Each cell's per-set rows, then its pooled row; both records name the same fields."""
     rows = [CSV_HEADER]
     for cell in cells:
         met = cell.metrics
-        for i, s in enumerate(met.sets):
+        for label, s in [*enumerate(met.sets), ("pooled", met)]:
             rows.append(",".join(fmt(v) for v in (
-                cell.protocol, cell.p, cell.q_c, cell.m, i,
+                cell.protocol, cell.p, cell.q_c, cell.m, label,
                 s.dr, s.dr_ci[0], s.dr_ci[1], s.mean_fidelity,
                 s.mean_r_size, s.mean_age, s.successes, s.timeouts)))
-        rows.append(",".join(fmt(v) for v in (
-            cell.protocol, cell.p, cell.q_c, cell.m, "pooled",
-            met.dr, met.dr_ci[0], met.dr_ci[1], met.mean_fidelity,
-            met.mean_r_size, met.mean_age, met.successes, met.timeouts)))
     return rows
 
 
@@ -128,6 +145,8 @@ def write_trials_jsonl(cells: list[CellResult], path, which: str = "successes") 
 
     ``which`` chooses "successes", "all" or "none".
     """
+    if which not in ("successes", "all", "none"):
+        raise ValueError(f"trial log {which!r} is not one of 'successes', 'all', 'none'")
     if which == "none":
         return
     with open(path, "w") as fh:

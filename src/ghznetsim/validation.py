@@ -318,7 +318,7 @@ def bound_chain_stats(cells) -> dict:
         if gaps_fb:
             cell_gaps_fb.append(statistics.mean(gaps_fb))
             cell_gaps_wr.append(statistics.mean(gaps_wr))
-            if cell.metrics.mean_fidelity >= 2.0 / 3.0:
+            if cell.metrics.mean_fidelity >= experiments.FIDELITY_FLOOR:
                 usable_gaps_fb.append(statistics.mean(gaps_fb))
     return {
         "states": count,

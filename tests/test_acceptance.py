@@ -129,7 +129,7 @@ def test_criterion_04_routing_oracles():
 def test_criterion_05_geometric_sanity():
     g = topology.NetworkGraph(2, [(0, 1, 0.1, 0.987)])
     config = engine.SimConfig(graph=g, protocol="sp-t", delta=0.99, q_c=1,
-                              users=(0, 1), target_successes=10_000,
+                              user_sets=((0, 1),), target_successes=10_000,
                               max_set_timeslots=10_000_000, seed=7)
     metrics = engine.run_experiment(config, workers=1, keep_trials=False)
     s = metrics.sets[0]

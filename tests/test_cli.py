@@ -188,6 +188,22 @@ def test_negative_seed_exits_2_before_any_cell(tmp_path, capsys):
                    for name in ("results.csv", "summary.json", "trials.jsonl"))
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--users", "random:1"), "need at least two users"),
+    (("--users", "random:40"), "40 users but only 36 nodes"),
+    (("--users", "random:3", "--seed", "-1"), "seed -1"),
+])
+def test_bad_sampled_users_exit_2_before_any_cell(tmp_path, capsys, argv, message):
+    # sampled sets are checked before they are drawn, so numpy's own errors
+    # never surface, and before --out is made
+    out = tmp_path / "x"
+    assert run_cli("run", "--protocol", "mp-t", "--grid", "6", "--Qc", "2",
+                   "--successes", "2", *argv, "--out", str(out)) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert message in captured.err and "DR=" not in captured.out
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("run", "--users", "0,8", "--seed", "-1"),
     ("distance", "--Qc", "2,0"),

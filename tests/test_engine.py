@@ -4,13 +4,20 @@ import statistics
 import numpy as np
 import pytest
 
-from ghznetsim import engine, protocols, routing, topology
+from ghznetsim import engine, experiments, protocols, routing, topology
 from ghznetsim.engine import ConfigError, LinkState, SimConfig
+from ghznetsim.experiments import SweepSpec
 from ghznetsim.protocols import TrialResult
 
 
 def single_edge_graph(p=0.1, w0=0.987):
     return topology.NetworkGraph(2, [(0, 1, p, w0)])
+
+
+def sampled_sets(g, n_users, count, seed):
+    """The user sets a sweep at ``seed`` draws for ``g``."""
+    return experiments.user_sets(SweepSpec(n_users=n_users, user_sets=count, seed=seed),
+                                 g.n_nodes)
 
 
 def make_rng(seed=0):
@@ -208,7 +215,7 @@ def test_run_trial_timeout():
 
 def test_geometric_expected_timeslots():
     cfg = SimConfig(graph=single_edge_graph(p=0.1), protocol="sp-t", delta=0.99,
-                    q_c=1, users=(0, 1), target_successes=10_000,
+                    q_c=1, user_sets=((0, 1),), target_successes=10_000,
                     max_set_timeslots=10_000_000, seed=7)
     metrics = engine.run_experiment(cfg, workers=1, keep_trials=False)
     s = metrics.sets[0]
@@ -219,8 +226,9 @@ def test_geometric_expected_timeslots():
 
 def test_noiseless_network_distributes_perfect_states():
     g = topology.make_grid(3, 0.4, 1.0)
-    cfg = SimConfig(graph=g, protocol="mp-t", delta=1.0, q_c=5, users=(0, 8),
-                    target_successes=20, max_set_timeslots=100_000, seed=5)
+    cfg = SimConfig(graph=g, protocol="mp-t", delta=1.0, q_c=5, user_sets=((0, 8),),
+                    target_successes=20,
+                    max_set_timeslots=100_000, seed=5)
     metrics = engine.run_experiment(cfg, workers=1)
     assert metrics.successes == 20
     for s in metrics.sets:
@@ -233,7 +241,7 @@ def test_mean_age_below_cutoff():
     g = topology.make_grid(4, 0.3, 0.95)
     for q_c in (1, 2, 5):
         cfg = SimConfig(graph=g, protocol="mp-t", delta=0.99, q_c=q_c,
-                        users=(0, 5, 15), target_successes=25,
+                        user_sets=((0, 5, 15),), target_successes=25,
                         max_set_timeslots=50_000, seed=8)
         metrics = engine.run_experiment(cfg, workers=1)
         for s in metrics.sets:
@@ -244,8 +252,8 @@ def test_mean_age_below_cutoff():
 
 def test_determinism_same_seed():
     g = topology.make_grid(4, 0.2, 0.95)
-    cfg = SimConfig(graph=g, protocol="mp-s", delta=0.99, q_c=4, users=None,
-                    n_users=3, user_sets=3, target_successes=15,
+    cfg = SimConfig(graph=g, protocol="mp-s", delta=0.99, q_c=4,
+                    user_sets=sampled_sets(g, 3, 3, 21), target_successes=15,
                     max_set_timeslots=20_000, seed=21)
     a = engine.run_experiment(cfg, workers=1)
     b = engine.run_experiment(cfg, workers=1)
@@ -254,8 +262,8 @@ def test_determinism_same_seed():
 
 def test_parallel_matches_serial():
     g = topology.make_grid(4, 0.2, 0.95)
-    cfg = SimConfig(graph=g, protocol="mp-t", delta=0.99, q_c=3, users=None,
-                    n_users=3, user_sets=4, target_successes=10,
+    cfg = SimConfig(graph=g, protocol="mp-t", delta=0.99, q_c=3,
+                    user_sets=sampled_sets(g, 3, 4, 33), target_successes=10,
                     max_set_timeslots=10_000, seed=33)
     serial = engine.run_experiment(cfg, workers=1)
     parallel = engine.run_experiment(cfg, workers=4)
@@ -264,27 +272,16 @@ def test_parallel_matches_serial():
 
 def test_different_seeds_differ():
     g = topology.make_grid(4, 0.2, 0.95)
-    base = dict(graph=g, protocol="mp-t", delta=0.99, q_c=3, users=(0, 15),
+    base = dict(graph=g, protocol="mp-t", delta=0.99, q_c=3, user_sets=((0, 15),),
                 target_successes=20, max_set_timeslots=50_000)
     a = engine.run_experiment(SimConfig(**base, seed=1), workers=1, keep_trials=False)
     b = engine.run_experiment(SimConfig(**base, seed=2), workers=1, keep_trials=False)
     assert a.dr != b.dr
 
 
-def test_user_set_sampling_deterministic_and_distinct():
-    g = topology.make_grid(6, 0.1, 0.987)
-    cfg = SimConfig(graph=g, protocol="mp-t", delta=0.99, q_c=1, users=None,
-                    n_users=4, user_sets=12, seed=9)
-    sets_a = engine.sample_user_sets(cfg)
-    sets_b = engine.sample_user_sets(cfg)
-    assert sets_a == sets_b
-    for s in sets_a:
-        assert len(set(s)) == 4
-
-
 def test_omission_rule():
     g = single_edge_graph(p=1e-12)  # generation is hopeless
-    cfg = SimConfig(graph=g, protocol="sp-t", delta=0.99, q_c=1, users=(0, 1),
+    cfg = SimConfig(graph=g, protocol="sp-t", delta=0.99, q_c=1, user_sets=((0, 1),),
                     target_successes=5, max_set_timeslots=200, seed=1)
     metrics = engine.run_experiment(cfg, workers=1)
     assert not metrics.valid
@@ -293,7 +290,7 @@ def test_omission_rule():
 
 def test_infeasible_static_star_is_flagged():
     g = single_edge_graph(p=0.5)
-    cfg = SimConfig(graph=g, protocol="sp-s", delta=0.99, q_c=1, users=(0, 1),
+    cfg = SimConfig(graph=g, protocol="sp-s", delta=0.99, q_c=1, user_sets=((0, 1),),
                     target_successes=5, max_set_timeslots=200, seed=1)
     metrics = engine.run_experiment(cfg, workers=1)
     assert not metrics.valid
@@ -349,15 +346,15 @@ def test_dr_confidence_interval_ends_are_float_tight(s, n):
 def test_config_validation():
     g = single_edge_graph()
     with pytest.raises(ConfigError):
-        SimConfig(graph=g, protocol="sp-t", delta=0.99, q_c=0, users=(0, 1))
+        SimConfig(graph=g, protocol="sp-t", delta=0.99, q_c=0, user_sets=((0, 1),))
     with pytest.raises(ConfigError):
-        SimConfig(graph=g, protocol="sp-t", delta=1.5, q_c=1, users=(0, 1))
+        SimConfig(graph=g, protocol="sp-t", delta=1.5, q_c=1, user_sets=((0, 1),))
     with pytest.raises(ConfigError):
-        SimConfig(graph=g, protocol="nope", delta=0.99, q_c=1, users=(0, 1))
+        SimConfig(graph=g, protocol="nope", delta=0.99, q_c=1, user_sets=((0, 1),))
     with pytest.raises(ConfigError):
-        SimConfig(graph=g, protocol="sp-t", delta=0.99, q_c=1, users=(0,))
+        SimConfig(graph=g, protocol="sp-t", delta=0.99, q_c=1, user_sets=((0,),))
     with pytest.raises(ConfigError):
-        SimConfig(graph=g, protocol="sp-t", delta=0.99, q_c=1, users=(0, 1), user_sets=0)
+        SimConfig(graph=g, protocol="sp-t", delta=0.99, q_c=1, user_sets=())
     with pytest.raises(ConfigError):
         engine.resolve_workers(0)
     # out-of-range, negative and duplicate ids used to reach numpy indexing
@@ -366,11 +363,17 @@ def test_config_validation():
     for protocol in ("sp-t", "sp-s", "mp-t", "mp-s"):
         for users in ((0, 99), (-1, 8), (0, 9), (0, 0, 8)):
             with pytest.raises(ConfigError):
-                SimConfig(graph=grid, protocol=protocol, delta=0.99, q_c=3, users=users)
+                SimConfig(graph=grid, protocol=protocol, delta=0.99, q_c=3,
+                          user_sets=(users,))
+        SimConfig(graph=grid, protocol=protocol, delta=0.99, q_c=3,
+                  user_sets=sampled_sets(grid, 9, 1, 0))
+        SimConfig(graph=grid, protocol=protocol, delta=0.99, q_c=3, user_sets=((0, 8),))
+        # every set is checked, not only the first
         with pytest.raises(ConfigError):
-            SimConfig(graph=grid, protocol=protocol, delta=0.99, q_c=3, n_users=10)
-        SimConfig(graph=grid, protocol=protocol, delta=0.99, q_c=3, n_users=9)
-        SimConfig(graph=grid, protocol=protocol, delta=0.99, q_c=3, users=(0, 8))
+            SimConfig(graph=grid, protocol=protocol, delta=0.99, q_c=3,
+                      user_sets=((0, 8), (0, 9)))
+    with pytest.raises(ConfigError, match="10 users but only 9 nodes"):
+        sampled_sets(grid, 10, 1, 0)
 
 
 def test_trial_rng_streams_are_order_insensitive():
@@ -393,8 +396,8 @@ def test_pooled_dr_is_successes_per_timeslot():
     # user sets at different distances wait for different times, so a mean of
     # per-set rates would differ from the pooled rate and leave its interval
     g = topology.make_grid(4, 0.3, 0.95)
-    cfg = SimConfig(graph=g, protocol="sp-t", delta=0.99, q_c=4, users=None,
-                    n_users=3, user_sets=4, target_successes=20,
+    cfg = SimConfig(graph=g, protocol="sp-t", delta=0.99, q_c=4,
+                    user_sets=sampled_sets(g, 3, 4, 3), target_successes=20,
                     max_set_timeslots=20_000, seed=3)
     metrics = engine.run_experiment(cfg, workers=1, keep_trials=False)
     assert len({s.dr for s in metrics.sets}) > 1

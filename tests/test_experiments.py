@@ -70,6 +70,64 @@ def test_summary_and_trials_files(tmp_path):
     assert record["edges"]
 
 
+def test_write_trials_jsonl_rejects_unknown_choice(tmp_path):
+    # a misspelt choice used to be taken as "all" and write timeout records
+    cells = run_sweep(tiny_spec(), workers=1)
+    path = tmp_path / "trials.jsonl"
+    with pytest.raises(ValueError, match="'successes', 'all', 'none'"):
+        experiments.write_trials_jsonl(cells, path, "succeses")
+    assert not path.exists()
+
+
+# the eight sets perfbench/run.py holds fixed as the 6x6 desk sweep's first sets
+FIRST_DESK_SETS = (
+    (4, 9, 13, 16), (5, 18, 21, 33), (0, 7, 12, 19), (0, 25, 29, 34),
+    (0, 2, 20, 24), (1, 15, 23, 24), (19, 21, 28, 35), (3, 5, 16, 17),
+)
+
+
+def test_user_sets_are_pinned():
+    assert experiments.user_sets(SweepSpec(), 36)[:8] == FIRST_DESK_SETS
+    # an explicit set is one sorted set, whatever the count
+    assert experiments.user_sets(SweepSpec(users=(8, 0), user_sets=5), 9) == ((0, 8),)
+
+
+def test_user_set_sampling_deterministic_and_distinct():
+    spec = SweepSpec(n_users=4, user_sets=12, seed=9)
+    sets_a = experiments.user_sets(spec, 36)
+    sets_b = experiments.user_sets(spec, 36)
+    assert sets_a == sets_b
+    assert len(sets_a) == 12
+    for s in sets_a:
+        assert len(set(s)) == 4
+        assert list(s) == sorted(s)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(n_users=1), "need at least two users"),
+    (dict(n_users=40), "40 users but only 36 nodes"),
+    (dict(user_sets=0), "user_sets must be positive"),
+    (dict(seed=-1), "seed -1 must be non-negative"),
+])
+def test_user_sets_rejects_before_sampling(overrides, message):
+    with pytest.raises(ConfigError, match=message):
+        experiments.user_sets(SweepSpec(**overrides), 36)
+
+
+def test_every_cell_of_a_grid_runs_the_same_sets(monkeypatch):
+    configs = []
+    monkeypatch.setattr(experiments.engine, "run_experiment",
+                        lambda config, **_: configs.append(config))
+    spec = tiny_spec(protocols=("mp-t", "sp-s"), qc_values=(1, 4), p_values=(0.2, 0.4),
+                     grid_sizes=(3, 4), users=None, n_users=3, user_sets=5)
+    cells = run_sweep(spec, workers=1)
+    assert len(configs) == len(cells) == 16
+    for m in (3, 4):
+        got = {c.user_sets for c, cell in zip(configs, cells) if cell.m == m}
+        assert got == {experiments.user_sets(spec, m * m)}
+        assert len(next(iter(got))) == 5
+
+
 def test_pareto_frontier():
     pts = [Point(1, 0.1, 0.9), Point(2, 0.2, 0.8), Point(3, 0.15, 0.75),
            Point(4, 0.05, 0.95)]

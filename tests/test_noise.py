@@ -271,4 +271,4 @@ def test_delta_outside_unit_interval_rejected():
     g = NetworkGraph(2, [(0, 1, 0.5, 0.9)])
     for delta in (0.0, 1.2):
         with pytest.raises(ConfigError):
-            SimConfig(graph=g, protocol="sp-t", delta=delta, q_c=1, users=(0, 1))
+            SimConfig(graph=g, protocol="sp-t", delta=delta, q_c=1, user_sets=((0, 1),))

@@ -286,7 +286,7 @@ def test_multipath_ignores_zero_werner_links(protocol):
     g = topology.NetworkGraph(g.n_nodes, [(u, v, 0.4, 0.0 if (u, v) == dead else 0.95)
                                           for u, v in g.edges])
     users = (0, 2, 6, 8)
-    cfg = engine.SimConfig(graph=g, protocol=protocol, delta=0.99, q_c=4, users=users,
+    cfg = engine.SimConfig(graph=g, protocol=protocol, delta=0.99, q_c=4, user_sets=(users,),
                            target_successes=20, max_set_timeslots=20_000, seed=3)
     metrics = engine.run_user_set(cfg, users, 0)
     assert metrics.successes == 20
@@ -353,7 +353,7 @@ def test_flow_tolerates_equal_cost_cycles():
     from ghznetsim import engine
 
     cfg = engine.SimConfig(graph=g, protocol="mp-s", delta=0.99, q_c=8,
-                           users=(6, 10, 24, 26), target_successes=30,
+                           user_sets=((6, 10, 24, 26),), target_successes=30,
                            max_set_timeslots=25_000, seed=2024)
     metrics = engine.run_user_set(cfg, (6, 10, 24, 26), 10, keep_trials=False)
     assert metrics.total_timeslots <= 25_000

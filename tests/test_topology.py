@@ -55,12 +55,13 @@ def test_user_set_validation():
     g = make_grid(3, 0.5, 0.9)
 
     def config(users):
-        return engine.SimConfig(graph=g, protocol="mp-t", delta=0.99, q_c=2, users=users)
+        return engine.SimConfig(graph=g, protocol="mp-t", delta=0.99, q_c=2,
+                                user_sets=(users,))
 
     for bad in ((4,), (1, 1), (0, 99)):
         with pytest.raises(engine.ConfigError):
             config(bad)
-    assert config((3, 1)).users == (3, 1)
+    assert config((3, 1)).user_sets == ((3, 1),)
     with pytest.raises(TopologyError):
         topology.steiner_distance(g, [0, 99])
 
