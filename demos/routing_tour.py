@@ -26,7 +26,7 @@ approx = routing.approx_steiner_tree(g.edges, values, terminals)
 for name, sol in (("exact", exact), ("approx", approx)):
     product = math.prod(values[e] for e in sol.edges)
     print(f"  {name:6s}: {sol.size} edges, product {product:.4f}, "
-          f"forks {sorted(sol.forks)}")
+          f"forks {routing.decompose_tree_branches(sol.edges, terminals)[1]}")
 
 print("\n=== Branch decomposition of the exact tree ===")
 for branch in exact.branches:

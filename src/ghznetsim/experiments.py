@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -143,11 +144,13 @@ def write_csv(cells: list[CellResult], path) -> None:
 def write_trials_jsonl(cells: list[CellResult], path, which: str = "successes") -> None:
     """Per-trial records, one JSON object per line.
 
-    ``which`` chooses "successes", "all" or "none".
+    ``which`` chooses "successes", "all" or "none"; "none" writes nothing and
+    removes a file left at ``path``, so no other sweep's trials stay behind.
     """
     if which not in ("successes", "all", "none"):
         raise ValueError(f"trial log {which!r} is not one of 'successes', 'all', 'none'")
     if which == "none":
+        Path(path).unlink(missing_ok=True)
         return
     with open(path, "w") as fh:
         for cell in cells:

@@ -54,7 +54,6 @@ def initialize(kind: Protocol | str, g: NetworkGraph, users) -> ProtocolState:
     """Set up a protocol run: fixed route for sp-*, centre node for mp-s."""
     kind = Protocol(kind)
     users = tuple(sorted(set(int(u) for u in users)))
-    g.require_connected()
 
     planned = None
     tracked = tuple(enumerate(g.gen_prob))
@@ -67,8 +66,7 @@ def initialize(kind: Protocol | str, g: NetworkGraph, users) -> ProtocolState:
         if kind is Protocol.MP_S:
             # the centre must be able to host one disjoint branch per user,
             # so nodes of insufficient degree are skipped along with users
-            too_small = [v for v in range(g.n_nodes)
-                         if len(g.neighbors(v)) < len(users)]
+            too_small = [v for v in range(g.n_nodes) if len(g.adj[v]) < len(users)]
             try:
                 center = centroid_node(g, users,
                                        exclude=set(users) | set(too_small))
@@ -76,9 +74,8 @@ def initialize(kind: Protocol | str, g: NetworkGraph, users) -> ProtocolState:
                 raise routing.NoRouteError(
                     f"no viable centre node for {len(users)} users") from exc
 
-    user_inc = tuple(tuple(i for i, e in enumerate(g.edges) if u in e) for u in users)
-    center_inc = (tuple(i for i, e in enumerate(g.edges) if center in e)
-                  if kind is Protocol.MP_S else None)
+    user_inc = tuple(tuple(i for _, i in g.adj[u]) for u in users)
+    center_inc = tuple(i for _, i in g.adj[center]) if kind is Protocol.MP_S else None
     return ProtocolState(kind=kind, users=users, planned_route=planned,
                          center=center, tracked=tracked,
                          user_incidence=user_inc, center_incidence=center_inc)

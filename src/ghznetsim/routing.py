@@ -20,10 +20,10 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .topology import NetworkGraph, reachable, users_connected
+from .topology import NetworkGraph, canon, reachable, users_connected
 
 Edge = tuple[int, int]
 
@@ -44,10 +44,6 @@ class NoRouteError(RoutingError):
 
 class UnsupportedSizeError(RoutingError):
     """Instance too large for the exact algorithm."""
-
-
-def canon(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
 
 
 def edge_cost_map(edges: Iterable[Edge], primary: Mapping[Edge, float],
@@ -146,16 +142,13 @@ class _Net:
 class RoutingSolution:
     """Edge subset connecting the users, with its branch decomposition.
 
-    ``branches`` are node paths whose interiors contain no user, fork or
-    centre node; ``forks`` are tree junctions (degree >= 3). For star
-    solutions the branches are the edge-disjoint centre-user paths and
-    ``center`` holds the hub node.
+    A tree has no ``center``: its branches are node paths whose interiors
+    contain no user and no fork (node of degree >= 3). A star's branches
+    are the edge-disjoint user-centre paths and ``center`` holds the hub.
     """
 
-    kind: str
     edges: tuple[Edge, ...]
     branches: tuple[tuple[int, ...], ...]
-    forks: frozenset[int] = field(default_factory=frozenset)
     center: int | None = None
 
     @property
@@ -184,20 +177,14 @@ class RoutingSolution:
             raise RoutingError("solution does not span all users")
         if not users_connected(self.edges, degree):
             raise RoutingError("solution is not connected")
-        if self.kind == "tree":
+        if self.center is None:
             if len(self.edges) != len(degree) - 1:
                 raise RoutingError("tree solution contains a cycle")
-            for f in self.forks:
-                if degree[f] < 3:
-                    raise RoutingError(f"fork {f} has degree {degree[f]}")
-            stops = users | set(self.forks)
             for path in self.branches:
                 for node in path[1:-1]:
-                    if node in stops:
+                    if node in users or degree[node] >= 3:
                         raise RoutingError(f"branch interior contains endpoint node {node}")
-        elif self.kind == "star":
-            if self.center is None:
-                raise RoutingError("star solution without a centre")
+        else:
             if self.center in users:
                 raise RoutingError("centre coincides with a user")
             ends = sorted(path[0] for path in self.branches)
@@ -205,8 +192,6 @@ class RoutingSolution:
                 raise RoutingError("star branches do not end at the users")
             if any(path[-1] != self.center for path in self.branches):
                 raise RoutingError("star branch does not reach the centre")
-        else:
-            raise RoutingError(f"unknown solution kind {self.kind!r}")
 
 
 def decompose_tree_branches(edges: Sequence[Edge],
@@ -272,9 +257,8 @@ def branch_specs(branches: Iterable[Sequence[int]], edge_werner: Mapping[Edge, f
 
 def _tree_solution(edges: Iterable[Edge], users: Sequence[int]) -> RoutingSolution:
     edges = tuple(sorted(canon(*e) for e in edges))
-    branches, forks = decompose_tree_branches(edges, users)
-    return RoutingSolution(kind="tree", edges=edges,
-                           branches=tuple(branches), forks=frozenset(forks))
+    branches, _ = decompose_tree_branches(edges, users)
+    return RoutingSolution(edges, tuple(branches))
 
 
 def _steiner_dp(net: _Net, terminals: Sequence[int]) -> set[Edge]:
@@ -617,8 +601,7 @@ def star_route(edges: Sequence[Edge], values: Mapping[Edge, float],
     paths = flow.path_decomposition(source)
     branches = tuple(sorted(tuple(reversed(p)) for p in paths))
     solution_edges = tuple(sorted(canon(u, v) for p in paths for u, v in zip(p, p[1:])))
-    return RoutingSolution(kind="star", edges=solution_edges,
-                           branches=branches, forks=frozenset(), center=center)
+    return RoutingSolution(solution_edges, branches, center)
 
 
 def star_flow_feasible(edges: Sequence[Edge], users: Sequence[int], center: int) -> bool:
@@ -650,14 +633,14 @@ def select_single_path(g: NetworkGraph, users: Sequence[int],
     drift, so no centre that could win or tie is skipped.
     """
     users = sorted(set(int(u) for u in users))
-    g.require_connected()
     p_map = dict(zip(g.edges, g.gen_prob))
     w_map = dict(zip(g.edges, g.w0))
     if kind == "tree":
         return steiner_tree(g.edges, p_map, users, secondary=w_map)
     if kind != "star":
         raise RoutingError(f"unknown routing kind {kind!r}")
-    net = _Net(edge_cost_map(g.edges, p_map, w_map))
+    costs = edge_cost_map(g.edges, p_map, w_map)
+    net = _Net(costs)
     bound = [0.0] * len(net.nodes)
     for u in users:
         if u not in net.index:
@@ -675,20 +658,14 @@ def select_single_path(g: NetworkGraph, users: Sequence[int],
             sol = star_route(g.edges, p_map, users, center, secondary=w_map)
         except NoRouteError:
             continue
-        cost = _solution_cost(sol, p_map, w_map) + (center,)
+        cost = (math.fsum(costs[e][0] for e in sol.edges),
+                math.fsum(costs[e][1] for e in sol.edges), sol.size, center)
         if best is None or cost < best:
             best = cost
             best_solution = sol
     if best_solution is None:
         raise NoRouteError("no feasible star for any centre")
     return best_solution
-
-
-def _solution_cost(sol: RoutingSolution, primary: Mapping[Edge, float],
-                   secondary: Mapping[Edge, float]) -> tuple:
-    costs = edge_cost_map(sol.edges, primary, secondary).values()
-    return (math.fsum(cp for cp, _ in costs), math.fsum(cw for _, cw in costs),
-            len(sol.edges))
 
 
 def select_multipath(live_edges: Sequence[Edge], werner: Mapping[Edge, float],

@@ -2,8 +2,9 @@
 
 Nodes are dense integers ``0..n-1``. Edges are unordered pairs ``(u, v)`` with
 ``u < v``, each carrying a Bell-state generation probability and an initial
-Werner parameter, held as tuples of floats in edge order. Graphs are
-immutable after construction and safe to share between threads or processes.
+Werner parameter, held as tuples of floats in edge order. A graph is
+checked to be connected when it is built, is immutable after that, and is
+safe to share between threads or processes.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ class TopologyError(ValueError):
     """Raised for malformed graphs, edges or user sets."""
 
 
-def _canon_edge(u: int, v: int) -> tuple[int, int]:
-    if u == v:
-        raise TopologyError(f"self-loop at node {u}")
+def canon(u: int, v: int) -> tuple[int, int]:
+    """The edge ``{u, v}`` as the ordered pair ``(min, max)``."""
     return (u, v) if u < v else (v, u)
 
 
 class NetworkGraph:
-    """Simple undirected graph with per-edge generation probability and w0."""
+    """Connected simple undirected graph with per-edge generation probability and w0."""
 
     def __init__(self, n_nodes: int, edges: Iterable[tuple[int, int, float, float]]):
         if n_nodes < 1:
@@ -34,7 +34,9 @@ class NetworkGraph:
         w0: list[float] = []
         seen: set[tuple[int, int]] = set()
         for u, v, p, w in edges:
-            e = _canon_edge(int(u), int(v))
+            if u == v:
+                raise TopologyError(f"self-loop at node {u}")
+            e = canon(int(u), int(v))
             if not (0 <= e[0] and e[1] < self.n_nodes):
                 raise TopologyError(f"edge {e} out of node range 0..{self.n_nodes - 1}")
             if e in seen:
@@ -47,6 +49,8 @@ class NetworkGraph:
             edge_list.append(e)
             gen_prob.append(float(p))
             w0.append(float(w))
+        if self.n_nodes > 1 and not users_connected(edge_list, range(self.n_nodes)):
+            raise TopologyError("graph is not connected")
         order = sorted(range(len(edge_list)), key=lambda i: edge_list[i])
         self.edges: tuple[tuple[int, int], ...] = tuple(edge_list[i] for i in order)
         self.gen_prob: tuple[float, ...] = tuple(gen_prob[i] for i in order)
@@ -56,7 +60,7 @@ class NetworkGraph:
         for i, (u, v) in enumerate(self.edges):
             adj[u].append((v, i))
             adj[v].append((u, i))
-        # sorted neighbour order gives deterministic traversal everywhere
+        # (neighbour, edge index) pairs in neighbour order: deterministic traversal
         self.adj: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             tuple(sorted(a)) for a in adj
         )
@@ -64,17 +68,6 @@ class NetworkGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
-        """Neighbours of ``v`` as (node, edge index) pairs, ascending by node."""
-        return self.adj[v]
-
-    def is_connected(self) -> bool:
-        return self.n_nodes == 1 or users_connected(self.edges, range(self.n_nodes))
-
-    def require_connected(self) -> None:
-        if not self.is_connected():
-            raise TopologyError("graph is not connected")
 
     def hop_distances(self, source: int) -> list[int]:
         """Unweighted shortest-path hop distance from ``source`` to every node."""
@@ -151,7 +144,6 @@ def steiner_distance(g: NetworkGraph, users: Sequence[int]) -> int:
     terminals = _check_users(g, users)
     if len(set(terminals)) < 2:
         return 0
-    g.require_connected()
     from . import routing
 
     unit = {e: 1.0 for e in g.edges}
@@ -168,7 +160,6 @@ def centroid_node(g: NetworkGraph, users: Sequence[int],
     a star route must not coincide with a user).
     """
     terminals = _check_users(g, users)
-    g.require_connected()
     excluded = set(exclude)
     totals = [0] * g.n_nodes
     squares = [0] * g.n_nodes

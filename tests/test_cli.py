@@ -372,6 +372,30 @@ def test_pareto_reruns_a_sweep_of_another_spec(tmp_path, capsys):
     assert not (out / "pareto.svg").exists()
 
 
+def test_pareto_without_valid_datapoints_exits_3(tmp_path, capsys):
+    out = tmp_path / "res"
+    # one success per set is below the two per set that a datapoint needs
+    code = run_cli("pareto", "--protocol", "mp-t,sp-t", "--grid", "3", "--p", "0.5",
+                   "--Qc", "2", "--user-sets", "2", "--successes", "1",
+                   "--workers", "1", "--out", str(out))
+    assert code == cli.EXIT_NO_DATA
+    assert "no valid datapoints" in capsys.readouterr().err
+    cells = json.loads((out / "summary.json").read_text())["cells"]
+    assert [c["omit_reason"] for c in cells] == ["only 2 successes (minimum 4)"] * 2
+
+
+def test_trial_log_none_leaves_no_earlier_trials(tmp_path):
+    out = tmp_path / "res"
+    sweep = ("--grid", "3", "--p", "0.5", "--Qc", "2", "--users", "0,8",
+             "--successes", "3", "--workers", "1", "--out", str(out))
+    assert run_cli("run", "--protocol", "mp-t", *sweep, "--trial-log", "all") == 0
+    assert (out / "trials.jsonl").exists()
+    # the mp-t records must not stay beside the sp-t tables
+    assert run_cli("run", "--protocol", "sp-t", *sweep, "--trial-log", "none") == 0
+    assert not (out / "trials.jsonl").exists()
+    assert "sp-t" in (out / "results.csv").read_text()
+
+
 @pytest.mark.parametrize("command", ["run", "pareto", "distance"])
 @pytest.mark.parametrize("flag", ["--protocol", "--Qc", "--p", "--grid"])
 def test_empty_sweep_axis_exits_2(tmp_path, capsys, command, flag):

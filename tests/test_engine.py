@@ -297,6 +297,23 @@ def test_infeasible_static_star_is_flagged():
     assert metrics.sets[0].status == "infeasible"
 
 
+@pytest.mark.parametrize("protocol", ["sp-t", "mp-t", "sp-s", "mp-s"])
+def test_seven_users_route_as_trees_but_no_grid_node_hosts_their_star(protocol):
+    # seven users are beyond the exact Steiner search, so trees come from the
+    # approximation; a star needs a centre of degree 7, which no grid node has
+    users = (0, 3, 5, 9, 10, 12, 15)
+    cfg = SimConfig(graph=topology.make_grid(4, 0.5, 0.987), protocol=protocol,
+                    delta=0.99, q_c=5, user_sets=(users,), target_successes=5,
+                    max_set_timeslots=20_000, seed=3)
+    metrics = engine.run_experiment(cfg, workers=1)
+    if protocol.endswith("-t"):
+        assert metrics.valid and metrics.successes == 5
+        assert all(t.r_size >= len(users) - 1 for t in metrics.sets[0].trials if t.success)
+    else:
+        assert not metrics.valid
+        assert metrics.omit_reason == "infeasible user set"
+
+
 def test_dr_confidence_interval_examples():
     lo, hi = engine.dr_confidence_interval(300, 3000)
     assert lo < 0.1 < hi

@@ -128,6 +128,25 @@ def test_every_cell_of_a_grid_runs_the_same_sets(monkeypatch):
         assert len(next(iter(got))) == 5
 
 
+def test_mp_t_never_finishes_after_mp_s():
+    # both protocols track every edge under the same trial streams, so they
+    # see the same links and check in the same slots; a live star from the
+    # centre connects the users, so mp-t completes no later than mp-s
+    spec = SweepSpec(protocols=("mp-t", "mp-s"), grid_sizes=(4, 6), p_values=(0.1, 0.3),
+                     qc_values=(1, 3, 8), user_sets=3, target_successes=15, seed=7)
+    sets = {(c.protocol, c.m, c.p, c.q_c): c.metrics.sets for c in run_sweep(spec, workers=1)}
+    pairs = 0
+    for (protocol, *cell), star_sets in sets.items():
+        if protocol != "mp-s":
+            continue
+        for tree_set, star_set in zip(sets[("mp-t", *cell)], star_sets):
+            for tree, star in zip(tree_set.trials, star_set.trials):
+                if star.success:
+                    assert tree.success and tree.timeslots <= star.timeslots, cell
+                    pairs += 1
+    assert pairs > 200
+
+
 def test_pareto_frontier():
     pts = [Point(1, 0.1, 0.9), Point(2, 0.2, 0.8), Point(3, 0.15, 0.75),
            Point(4, 0.05, 0.95)]

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -201,7 +202,9 @@ def test_routed_structures_match_the_oracle():
     for sol, werner, users in routed_structures():
         got, want = closed_and_dense(routing.branch_specs(sol.branches, werner), users)
         assert abs(got - want) <= 1e-12, (sol, users)
-        kinds.append((sol.kind, len(users), bool(sol.forks)))
+        degree = Counter(x for e in sol.edges for x in e)
+        kind = "tree" if sol.center is None else "star"
+        kinds.append((kind, len(users), max(degree.values()) >= 3))
     # every kind and size that exists, including trees with interior forks
     assert {(kind, k) for kind, k, _ in kinds} == {("tree", 4), ("tree", 5), ("star", 4)}
     assert any(forked for kind, _, forked in kinds if kind == "tree")

@@ -90,6 +90,16 @@ def test_exact_steiner_terminal_limit():
         routing.exact_steiner_tree(g.edges, grid_values(g, 0.5), list(range(7)))
 
 
+def test_steiner_tree_beyond_the_exact_limit_is_the_approximation():
+    g = topology.make_grid(4, 0.5, 0.9)
+    rng = np.random.default_rng(11)
+    values = {e: float(v) for e, v in zip(g.edges, rng.uniform(0.3, 0.95, g.n_edges))}
+    terminals = [0, 3, 5, 9, 10, 12, 15]
+    sol = routing.steiner_tree(g.edges, values, terminals)
+    assert sol == routing.approx_steiner_tree(g.edges, values, terminals)
+    sol.check(terminals)
+
+
 def test_approx_steiner_two_terminals_exact():
     g = topology.make_grid(4, 0.5, 0.9)
     rng = np.random.default_rng(2)
@@ -339,10 +349,18 @@ def test_decompose_rejects_forest():
 
 
 def test_check_rejects_disconnected_solution():
-    sol = routing.RoutingSolution(kind="tree", edges=((0, 1), (2, 3)),
-                                  branches=((0, 1), (2, 3)))
+    sol = routing.RoutingSolution(edges=((0, 1), (2, 3)), branches=((0, 1), (2, 3)))
     with pytest.raises(RoutingError, match="not connected"):
         sol.check([0, 3])
+
+
+def test_check_rejects_branch_through_fork():
+    # node 3 has degree 3, so a tree branch may end there but not pass it
+    sol = routing.RoutingSolution(edges=((0, 3), (1, 3), (2, 3)),
+                                  branches=((0, 3, 1), (3, 2)))
+    with pytest.raises(RoutingError, match="branch interior"):
+        sol.check([0, 1, 2])
+    routing.RoutingSolution(sol.edges, ((0, 3), (1, 3), (2, 3))).check([0, 1, 2])
 
 
 def test_flow_tolerates_equal_cost_cycles():

@@ -30,7 +30,7 @@ def test_grid_closed_forms(m):
     g = make_grid(m, 0.3, 0.9)
     assert g.n_nodes == m * m
     assert g.n_edges == 2 * m * (m - 1)
-    assert g.is_connected()
+    assert users_connected(g.edges, range(g.n_nodes))
 
 
 def test_grid_rejects_m1():
@@ -67,17 +67,18 @@ def test_user_set_validation():
 
 
 def test_disconnected_graph():
-    g = NetworkGraph(5, [(0, 1, 0.5, 0.9), (1, 2, 0.5, 0.9), (3, 4, 0.5, 0.9)])
-    assert not g.is_connected()
-    with pytest.raises(TopologyError):
-        g.require_connected()
+    with pytest.raises(TopologyError, match="not connected"):
+        NetworkGraph(5, [(0, 1, 0.5, 0.9), (1, 2, 0.5, 0.9), (3, 4, 0.5, 0.9)])
     # an isolated node disconnects a graph whose edges are all joined
-    assert not NetworkGraph(3, [(0, 1, 0.5, 0.9)]).is_connected()
+    with pytest.raises(TopologyError, match="not connected"):
+        NetworkGraph(3, [(0, 1, 0.5, 0.9)])
+    with pytest.raises(TopologyError, match="not connected"):
+        NetworkGraph(2, [])
 
 
 def test_one_node_graph_is_connected():
     g = NetworkGraph(1, [])
-    assert g.is_connected()
+    assert g.n_edges == 0
     assert topology.centroid_node(g, [0]) == 0
 
 
