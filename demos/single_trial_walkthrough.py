@@ -25,7 +25,7 @@ links = engine.LinkState(g, q_c, rng)
 
 print(f"4x4 grid, users {users}, p = 0.1, cutoff Qc = {q_c}")
 print(f"{'slot':>4}  {'live':>4}  {'ages':<26}  note")
-solution = None
+plan = None
 checks = 0
 for t in range(1, 200):
     made = engine.step(links, state)
@@ -33,16 +33,17 @@ for t in range(1, 200):
     ages = [links.t - b for b in links.born if links.t - b < q_c]
     if made:
         checks += 1
-        solution = protocols.try_complete(state, links, delta)
-        note = "no route yet" if solution is None else \
-            f"feasible! tree of {solution.size} edges"
+        # a feasible route comes back as its realisation plan
+        plan = protocols.try_complete(state, links, delta)
+        note = "no route yet" if plan is None else \
+            f"feasible! tree of {plan.route.size} edges"
     else:
         note = "no new link: check skipped"
     print(f"{t:>4}  {len(ages):>4}  {str(ages):<26}  {note}")
-    if solution is not None:
-        realized = protocols.realize_ghz(solution, links, delta, users)
+    if plan is not None:
+        realized = protocols.realize_ghz(plan, links, delta)
         print(f"\nrealized GHZ state at slot {t} after {checks} completion checks:")
-        print(f"  edges      {solution.edges}")
+        print(f"  edges      {plan.route.edges}")
         print(f"  fidelity   {realized.fidelity:.5f}")
         print(f"  |R|        {realized.r_size}")
         print(f"  mean age   {realized.mean_age:.2f} slots")

@@ -126,9 +126,9 @@ def run_trial(graph: NetworkGraph, state: protocols.ProtocolState, delta: float,
     links = LinkState(graph, q_c, rng)
     for _ in range(max_timeslots):
         if step(links, state):
-            solution = protocols.try_complete(state, links, delta)
-            if solution is not None:
-                return protocols.realize_ghz(solution, links, delta, state.users)
+            plan = protocols.try_complete(state, links, delta)
+            if plan is not None:
+                return protocols.realize_ghz(plan, links, delta)
     return TrialResult(status="timeout", timeslots=max_timeslots)
 
 

@@ -58,8 +58,13 @@ class SweepSpec:
 
     def __post_init__(self):
         for name in ("protocols", "qc_values", "p_values", "grid_sizes"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ConfigError(f"sweep axis {name} is empty")
+            # a repeated value would run its cells twice and write each twice
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise ConfigError(f"sweep axis {name} repeats {v}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ which is what ``werner_tree_fidelity`` computes.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class NoiseError(ValueError):
@@ -57,6 +57,67 @@ def star_ghz_fidelity(branch_fidelities: Sequence[float]) -> float:
     return 0.5 * (t1 + t2 + t3)
 
 
+class FusionOrder(NamedTuple):
+    """The pass ``fuse_werner_tree`` makes over a tree of branches: a user
+    flag per node in traversal order from the root user (position 0), and
+    ``(node, parent, branch)`` positions from the leaves up."""
+
+    is_user: tuple[bool, ...]
+    steps: tuple[tuple[int, int, int], ...]
+
+
+def fusion_order(branches: Sequence[Sequence[int]], users: Sequence[int]) -> FusionOrder:
+    """The fusion pass over ``branches``, each a node path or just its two
+    ends; it depends only on the tree's shape and the users, never on the
+    Werner values."""
+    users = set(users)
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for k, path in enumerate(branches):
+        a, b = path[0], path[-1]
+        adj.setdefault(a, []).append((b, k))
+        adj.setdefault(b, []).append((a, k))
+    if len(users) < 2 or not users <= adj.keys():
+        raise NoiseError(f"branches do not reach every user of {sorted(users)}")
+    root = min(users)
+    pos = {root: 0}
+    order = [root]
+    steps = []
+    for j, v in enumerate(order):
+        for x, k in adj[v]:
+            if x not in pos:
+                pos[x] = len(order)
+                steps.append((len(order), j, k))
+                order.append(x)
+    if len(order) != len(adj) or len(branches) != len(adj) - 1:
+        raise NoiseError("branches do not form a tree")
+    steps.reverse()
+    return FusionOrder(tuple([v in users for v in order]), tuple(steps))
+
+
+def fuse_werner_tree(order: FusionOrder, ws: Sequence[float]) -> float:
+    """Fidelity of the GHZ state fused along ``order`` from branch Werner
+    values ``ws`` (indexed like the branches ``order`` was built from).
+
+    Each node keeps the probabilities of (the flip shared by the users below
+    it, relative to itself; the phase parity below it). A user allows only
+    flip 0; a non-user node allows both.
+    """
+    # per node: P(flip 0, even phase), P(0, odd), P(1, even), P(1, odd)
+    table = [(1.0, 0.0, 0.0, 0.0) if u else (1.0, 0.0, 1.0, 0.0) for u in order.is_user]
+    for v, up, k in order.steps:
+        # the branch to the parent keeps the outcome with probability w and
+        # otherwise spreads it evenly over all four (I, X, Z and Y errors)
+        w = ws[k]
+        t = table[v]
+        rest = (1.0 - w) / 4.0 * sum(t)
+        x0, x1, x2, x3 = t
+        c0, c1, c2, c3 = w * x0 + rest, w * x1 + rest, w * x2 + rest, w * x3 + rest
+        p0, p1, p2, p3 = table[up]
+        table[up] = (p0 * c0 + p1 * c1, p0 * c1 + p1 * c0,
+                     p2 * c2 + p3 * c3, p2 * c3 + p3 * c2)
+    return table[0][0]
+
+
 def werner_tree_fidelity(branches: Sequence[tuple[int, int, float]],
                          users: Sequence[int]) -> float:
     """Exact fidelity of the GHZ state fused from a tree of Werner branches.
@@ -64,46 +125,11 @@ def werner_tree_fidelity(branches: Sequence[tuple[int, int, float]],
     Each branch ``(end_a, end_b, w)`` is a Bell state with Werner parameter
     ``w`` (the product over the links swapped into it). Branches sharing a
     node are fused there, and every end that is not a user (a fork, a star
-    centre, a dangling node) is measured out.
-
-    One pass from a root user: each node keeps the probabilities of (the flip
-    shared by the users below it, relative to itself; the phase parity below
-    it). A user allows only flip 0; a non-user node allows both.
+    centre, a dangling node) is measured out. One pass from a root user,
+    ``fusion_order``, evaluated by ``fuse_werner_tree``.
     """
-    users = set(users)
-    adj: dict[int, list[tuple[int, float]]] = {}
-    n_branches = 0
-    for a, b, w in branches:
-        w = check_werner(w)
-        adj.setdefault(a, []).append((b, w))
-        adj.setdefault(b, []).append((a, w))
-        n_branches += 1
-    if len(users) < 2 or not users <= adj.keys():
-        raise NoiseError(f"branches do not reach every user of {sorted(users)}")
-    root = min(users)
-    parent = {root: (root, 1.0)}
-    order = [root]
-    for v in order:
-        for x, w in adj[v]:
-            if x not in parent:
-                parent[x] = (v, w)
-                order.append(x)
-    if len(order) != len(adj) or n_branches != len(adj) - 1:
-        raise NoiseError("branches do not form a tree")
-    # per node: P(flip 0, even phase), P(0, odd), P(1, even), P(1, odd)
-    table = {v: [1.0, 0.0, 0.0, 0.0] if v in users else [1.0, 0.0, 1.0, 0.0]
-             for v in order}
-    for v in reversed(order[1:]):
-        up, w = parent[v]
-        # the branch to the parent keeps the outcome with probability w and
-        # otherwise spreads it evenly over all four (I, X, Z and Y errors)
-        t = table.pop(v)
-        rest = (1.0 - w) / 4.0 * sum(t)
-        c0, c1, c2, c3 = (w * x + rest for x in t)
-        p0, p1, p2, p3 = table[up]
-        table[up] = [p0 * c0 + p1 * c1, p0 * c1 + p1 * c0,
-                     p2 * c2 + p3 * c3, p2 * c3 + p3 * c2]
-    return table[root][0]
+    ws = [check_werner(w) for _, _, w in branches]
+    return fuse_werner_tree(fusion_order([(a, b) for a, b, _ in branches], users), ws)
 
 
 def percolation_min_rounds(p: float, p_c: float) -> int:

@@ -7,6 +7,10 @@ edge holds a live link. Multi-path protocols (mp-s, mp-t) attempt generation
 on every edge and re-run routing on the link-state graph each timeslot,
 completing as soon as any feasible solution exists; the solution returned is
 the one maximising the Werner product over the current links.
+
+A route becomes a ``RealisationPlan`` before any state is realised from it:
+single-path protocols plan once per user set, multi-path ones once per
+routed solution, so a trial only gathers the ages of the route's links.
 """
 
 from __future__ import annotations
@@ -14,10 +18,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import routing
-from .noise import check_werner, werner_to_fidelity, werner_tree_fidelity
-from .topology import NetworkGraph, TopologyError, centroid_node
+from .noise import (FusionOrder, check_werner, fuse_werner_tree, fusion_order,
+                    werner_to_fidelity)
+from .topology import NetworkGraph, TopologyError, canon, centroid_node
 
 
 class Protocol(str, enum.Enum):
@@ -35,13 +41,39 @@ class Protocol(str, enum.Enum):
         return "star" if self in (Protocol.SP_S, Protocol.MP_S) else "tree"
 
 
+class RealisationPlan(NamedTuple):
+    """Everything realising a GHZ state from ``route`` reads that the route
+    and the graph fix; only the links' ages change from trial to trial.
+    (A named tuple: mp-* builds one per routed solution, and it builds
+    faster than a frozen dataclass.)"""
+
+    route: routing.RoutingSolution
+    edge_indices: tuple[int, ...]          # graph index of each of route.edges
+    w0: tuple[float, ...]                  # their w0 values
+    w0_prod: float                         # math.prod(w0)
+    branches: tuple[tuple[int, ...], ...]  # per branch, route.edges positions in path order
+    fusion: FusionOrder
+
+
+def plan_realisation(route: routing.RoutingSolution, g: NetworkGraph,
+                     users) -> RealisationPlan:
+    """The realisation plan of ``route`` on ``g`` for ``users``."""
+    position = {e: k for k, e in enumerate(route.edges)}.__getitem__
+    branches = tuple([tuple(map(position, map(canon, path, path[1:])))
+                      for path in route.branches])
+    idx = tuple([g.edge_index[e] for e in route.edges])
+    w0 = tuple([g.w0[i] for i in idx])
+    return RealisationPlan(route, idx, w0, math.prod(w0), branches,
+                           fusion_order(route.branches, users))
+
+
 @dataclass(frozen=True)
 class ProtocolState:
     """Immutable per-run protocol context, shared by all trials of a user set."""
 
     kind: Protocol
     users: tuple[int, ...]
-    planned_route: routing.RoutingSolution | None
+    plan: RealisationPlan | None            # the planned route's, for sp-*
     center: int | None
     # (edge index, generation probability) in edge order where generation is
     # attempted: the planned route for single-path protocols, else every edge
@@ -51,17 +83,18 @@ class ProtocolState:
 
 
 def initialize(kind: Protocol | str, g: NetworkGraph, users) -> ProtocolState:
-    """Set up a protocol run: fixed route for sp-*, centre node for mp-s."""
+    """Set up a protocol run: planned route for sp-*, centre node for mp-s."""
     kind = Protocol(kind)
     users = tuple(sorted(set(int(u) for u in users)))
 
-    planned = None
+    plan = None
     tracked = tuple(enumerate(g.gen_prob))
     center = None
     if kind.is_single_path:
-        planned = routing.select_single_path(g, users, kind.routing_kind)
-        center = planned.center
-        tracked = tuple(sorted(tracked[g.edge_index[e]] for e in planned.edges))
+        route = routing.select_single_path(g, users, kind.routing_kind)
+        plan = plan_realisation(route, g, users)
+        center = route.center
+        tracked = tuple(sorted(tracked[i] for i in plan.edge_indices))
     else:
         if kind is Protocol.MP_S:
             # the centre must be able to host one disjoint branch per user,
@@ -76,23 +109,24 @@ def initialize(kind: Protocol | str, g: NetworkGraph, users) -> ProtocolState:
 
     user_inc = tuple(tuple(i for _, i in g.adj[u]) for u in users)
     center_inc = tuple(i for _, i in g.adj[center]) if kind is Protocol.MP_S else None
-    return ProtocolState(kind=kind, users=users, planned_route=planned,
+    return ProtocolState(kind=kind, users=users, plan=plan,
                          center=center, tracked=tracked,
                          user_incidence=user_inc, center_incidence=center_inc)
 
 
-def try_complete(state: ProtocolState, links, delta: float) -> routing.RoutingSolution | None:
-    """Routing solution realizable from the current links, if any.
+def try_complete(state: ProtocolState, links, delta: float) -> RealisationPlan | None:
+    """Plan of a route realizable from the current links, if any.
 
-    Single-path protocols return their planned route only when it is fully
-    live. Multi-path protocols search the link-state graph; cheap incidence
-    checks reject most infeasible timeslots before any graph algorithm runs.
+    Single-path protocols return their plan only when its route is fully
+    live. Multi-path protocols search the link-state graph and plan the
+    solution found; cheap incidence checks reject most infeasible timeslots
+    before any graph algorithm runs.
     """
     born, t = links.born, links.t
     expired = t - links.q_c
-    if state.planned_route is not None:
+    if state.plan is not None:
         all_live = all(born[i] > expired for i, _ in state.tracked)
-        return state.planned_route if all_live else None
+        return state.plan if all_live else None
     for inc in state.user_incidence:
         if all(born[i] <= expired for i in inc):
             return None
@@ -102,8 +136,9 @@ def try_complete(state: ProtocolState, links, delta: float) -> routing.RoutingSo
     edges, w0 = links.graph.edges, links.graph.w0
     werner = {edges[i]: w0[i] * delta ** (t - b)
               for i, b in enumerate(born) if b > expired}
-    return routing.select_multipath(list(werner), werner, state.users,
-                                    state.kind.routing_kind, center=state.center)
+    route = routing.select_multipath(list(werner), werner, state.users,
+                                     state.kind.routing_kind, center=state.center)
+    return None if route is None else plan_realisation(route, links.graph, state.users)
 
 
 @dataclass(frozen=True)
@@ -126,34 +161,28 @@ class TrialResult:
         return self.status == "success"
 
 
-def realize_ghz(solution: routing.RoutingSolution, links, delta: float,
-                users) -> TrialResult:
-    """Swap, fuse and trim the live links of ``solution`` into a GHZ state.
+def realize_ghz(plan: RealisationPlan, links, delta: float) -> TrialResult:
+    """Swap, fuse and trim the live links of ``plan``'s route into a GHZ state.
 
     Uses each link's decohered Werner parameter at its current age; each
     branch's links swap into one Werner state with their product. Raises if
-    any solution edge has no live link (caller bug).
+    any route edge has no live link (caller bug).
     """
-    graph, t = links.graph, links.t
-    idx = [graph.edge_index[e] for e in solution.edges]
-    born = [links.born[i] for i in idx]
+    t, all_born = links.t, links.born
+    born = [all_born[i] for i in plan.edge_indices]
     if t - min(born) >= links.q_c:
         raise RuntimeError("routing solution includes an edge with no live link")
-    w0 = graph.w0
     # try_complete's expression, so these are the values routing ranked
-    w_use = {e: w0[i] * delta ** (t - b) for e, i, b in zip(solution.edges, idx, born)}
+    ws = [check_werner(w0 * delta ** (t - b)) for w0, b in zip(plan.w0, born)]
+    w_at = ws.__getitem__
+    branch_ws = [math.prod(map(w_at, path)) for path in plan.branches]
+    prod_fb = math.prod(map(werner_to_fidelity, branch_ws))   # checks each value
+    fidelity = fuse_werner_tree(plan.fusion, branch_ws)
 
-    branches = [(a, b, math.prod(map(check_werner, ws)))
-                for a, b, ws in routing.branch_specs(solution.branches, w_use)]
-    prod_fb = math.prod(werner_to_fidelity(w) for _, _, w in branches)
-    fidelity = werner_tree_fidelity(branches, users)
-
-    mean_age = sum(t - b for b in born) / len(born)
-    r_size = len(solution.edges)
-    w_r = math.prod(w_use.values())
-    w0_prod = math.prod(w0[i] for i in idx)
-    floor = w0_prod * delta ** (mean_age * r_size)
-    return TrialResult(status="success", timeslots=links.t, fidelity=fidelity,
-                       r_size=r_size, mean_age=mean_age, werner_product=w_r,
+    r_size = len(born)
+    mean_age = (t * r_size - sum(born)) / r_size      # integer sum of ages
+    floor = plan.w0_prod * delta ** (mean_age * r_size)
+    return TrialResult(status="success", timeslots=t, fidelity=fidelity,
+                       r_size=r_size, mean_age=mean_age, werner_product=math.prod(ws),
                        branch_fidelity_product=prod_fb, fidelity_floor=floor,
-                       center=solution.center, edges=solution.edges)
+                       center=plan.route.center, edges=plan.route.edges)

@@ -396,6 +396,26 @@ def test_trial_log_none_leaves_no_earlier_trials(tmp_path):
     assert "sp-t" in (out / "results.csv").read_text()
 
 
+@pytest.mark.parametrize("argv, axis, value", [
+    (("run", "--Qc", "2,2"), "qc_values", "2"),
+    (("run", "--grid", "3,3"), "grid_sizes", "3"),
+    (("run", "--p", "0.3,0.3"), "p_values", "0.3"),
+    (("run", "--protocol", "mp-t,mp-t"), "protocols", "mp-t"),
+    (("pareto", "--Qc", "2,2,3"), "qc_values", "2"),
+])
+def test_repeated_sweep_value_exits_2_before_any_cell(tmp_path, capsys, argv, axis, value):
+    # a repeated value would run its cells twice and write every row twice
+    args = {"--protocol": "sp-t", "--grid": "3", "--p": "0.5", "--Qc": "2"}
+    args.update(zip(argv[1::2], argv[2::2]))
+    out = tmp_path / "x"
+    flags = [item for pair in args.items() for item in pair]
+    assert run_cli(argv[0], *flags, "--successes", "2", "--user-sets", "1",
+                   "--max-timeslots", "200", "--out", str(out)) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"sweep axis {axis} repeats {value}" in captured.err
+    assert "DR=" not in captured.out and not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "pareto", "distance"])
 @pytest.mark.parametrize("flag", ["--protocol", "--Qc", "--p", "--grid"])
 def test_empty_sweep_axis_exits_2(tmp_path, capsys, command, flag):

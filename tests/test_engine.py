@@ -4,7 +4,7 @@ import statistics
 import numpy as np
 import pytest
 
-from ghznetsim import engine, experiments, protocols, routing, topology
+from ghznetsim import engine, experiments, noise, protocols, routing, topology
 from ghznetsim.engine import ConfigError, LinkState, SimConfig
 from ghznetsim.experiments import SweepSpec
 from ghznetsim.protocols import TrialResult
@@ -135,9 +135,32 @@ def test_uniform_blocks_concatenate_to_one_draw():
         assert np.array_equal(whole.random(a + b), joined)
 
 
+def reference_realize(g, solution, t, born, delta, users):
+    """The GHZ state of a fully live ``solution``, realised the way the engine
+    did before route plans: a Werner value per edge, each branch swapped into
+    one value, the branches fused, and the three products."""
+    idx = [g.edge_index[e] for e in solution.edges]
+    ages = [t - born[i] for i in idx]
+    werner = {e: g.w0[i] * delta ** a for e, i, a in zip(solution.edges, idx, ages)}
+    branches = [(a, b, math.prod(map(noise.check_werner, ws)))
+                for a, b, ws in routing.branch_specs(solution.branches, werner)]
+    mean_age = sum(ages) / len(ages)
+    r_size = len(solution.edges)
+    return TrialResult(
+        status="success", timeslots=t,
+        fidelity=noise.werner_tree_fidelity(branches, users),
+        r_size=r_size, mean_age=mean_age,
+        werner_product=math.prod(werner.values()),
+        branch_fidelity_product=math.prod(noise.werner_to_fidelity(w)
+                                          for _, _, w in branches),
+        fidelity_floor=math.prod(g.w0[i] for i in idx) * delta ** (mean_age * r_size),
+        center=solution.center, edges=solution.edges)
+
+
 def reference_trial(g, state, delta, q_c, max_timeslots, rng):
     """The engine before buffered uniforms: one ``rng.random(n_free)`` per
-    slot on a numpy ``born``, and a full completion check in every slot."""
+    slot on a numpy ``born``, a full completion check in every slot, and
+    ``reference_realize`` on success."""
     tracked = np.array([i for i, _ in state.tracked], dtype=np.int64)
     gen_prob = np.asarray(g.gen_prob)
     born = np.full(g.n_edges, -q_c, dtype=np.int64)
@@ -147,8 +170,8 @@ def reference_trial(g, state, delta, q_c, max_timeslots, rng):
         if free.size:
             hits = rng.random(free.size) < gen_prob[free]
             born[free[hits]] = t
-        if state.planned_route is not None:
-            solution = state.planned_route if (born[tracked] > expired).all() else None
+        if state.plan is not None:
+            solution = state.plan.route if (born[tracked] > expired).all() else None
         else:
             live = np.nonzero(born > expired)[0].tolist()
             # the engine's rule for a link's value: Python floats, Python int ages
@@ -157,9 +180,7 @@ def reference_trial(g, state, delta, q_c, max_timeslots, rng):
                 [g.edges[i] for i in live], werner, state.users,
                 state.kind.routing_kind, center=state.center)
         if solution is not None:
-            links = LinkState(g, q_c)
-            links.t, links.born = t, born.tolist()
-            return protocols.realize_ghz(solution, links, delta, state.users)
+            return reference_realize(g, solution, t, born.tolist(), delta, state.users)
     return TrialResult(status="timeout", timeslots=max_timeslots)
 
 
@@ -175,6 +196,14 @@ def random_graph(rng):
         return float(rng.choice([0.0, 1.0, rng.uniform(0.05, 0.9), rng.uniform(0.05, 0.9)]))
 
     return topology.NetworkGraph(n, [(u, v, pick(), pick()) for u, v in sorted(pairs)])
+
+
+def summary(r):
+    """Every field of a trial result, floats by ``.hex()``."""
+    floats = (r.fidelity, r.mean_age, r.werner_product, r.branch_fidelity_product,
+              r.fidelity_floor)
+    return (r.status, r.timeslots, r.r_size, r.center, r.edges,
+            *(x.hex() for x in floats))
 
 
 @pytest.mark.parametrize("protocol", ["sp-t", "sp-s", "mp-t", "mp-s"])
@@ -195,13 +224,31 @@ def test_run_trial_matches_reference_engine(protocol):
             seed, budget = int(rng.integers(2**32)), int(rng.integers(1, 40))
             got = engine.run_trial(g, state, delta, q_c, budget, make_rng(seed))
             want = reference_trial(g, state, delta, q_c, budget, make_rng(seed))
-            assert ((got.status, got.timeslots, got.fidelity.hex(), got.edges,
-                     got.center, got.mean_age)
-                    == (want.status, want.timeslots, want.fidelity.hex(), want.edges,
-                        want.center, want.mean_age))
+            assert summary(got) == summary(want)
             compared += 1
             successes += got.success
     assert 0 < successes < compared
+
+
+@pytest.mark.parametrize("protocol", ["sp-t", "sp-s", "mp-t"])
+def test_routes_are_planned_once_per_user_set_or_success(monkeypatch, protocol):
+    # a single-path route is fixed per user set, so its realisation plan is
+    # built once; a multi-path route is found per success and planned then
+    plans = []
+    plan_realisation = protocols.plan_realisation
+
+    def counting(*args):
+        plans.append(args)
+        return plan_realisation(*args)
+
+    monkeypatch.setattr(protocols, "plan_realisation", counting)
+    users = (0, 3, 12, 15)
+    cfg = SimConfig(graph=topology.make_grid(4, 0.5, 0.987), protocol=protocol,
+                    delta=0.99, q_c=4, user_sets=(users,), target_successes=12,
+                    max_set_timeslots=100_000, seed=5)
+    metrics = engine.run_user_set(cfg, users, 0)
+    assert metrics.successes == len(metrics.trials) == 12
+    assert len(plans) == (1 if protocol.startswith("sp") else 12)
 
 
 def test_run_trial_timeout():

@@ -38,7 +38,8 @@ def realize_path(w0s, ages, delta):
     g = links.graph
     route = routing.exact_steiner_tree(g.edges, {e: 0.5 for e in g.edges},
                                        [0, g.n_nodes - 1])
-    return protocols.realize_ghz(route, links, delta, [0, g.n_nodes - 1])
+    plan = protocols.plan_realisation(route, g, [0, g.n_nodes - 1])
+    return protocols.realize_ghz(plan, links, delta)
 
 
 def link_werner(w0, delta, age):

@@ -47,7 +47,7 @@ MATRIX = {
 
 def platform_info() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "machine": platform.machine()}
+            "machine": platform.machine(), "libc": list(platform.libc_ver())}
 
 
 def output_digests(root: Path) -> dict:

@@ -17,15 +17,15 @@ def test_initialize_sp_t_plans_min_steiner():
     g = topology.make_grid(6, 0.1, 0.987)
     users = (0, 7, 22, 35)
     state = protocols.initialize("sp-t", g, users)
-    assert state.planned_route is not None
-    assert state.planned_route.size == topology.steiner_distance(g, users)
-    assert len(state.tracked) == state.planned_route.size
+    assert state.plan is not None
+    assert state.plan.route.size == topology.steiner_distance(g, users)
+    assert len(state.tracked) == state.plan.route.size
 
 
 def test_initialize_mp_t_tracks_all_edges():
     g = topology.make_grid(6, 0.1, 0.987)
     state = protocols.initialize("mp-t", g, (0, 7, 22, 35))
-    assert state.planned_route is None
+    assert state.plan is None
     assert [i for i, _ in state.tracked] == list(range(g.n_edges))
 
 
@@ -66,14 +66,14 @@ def test_sp_completion_requires_every_planned_edge():
     users = (0, 2)
     state = protocols.initialize("sp-t", g, users)
     links = LinkState(g, q_c=10)
-    planned = list(state.planned_route.edges)
+    planned = list(state.plan.route.edges)
     place(links, *planned[:-1])
     assert protocols.try_complete(state, links, 0.99) is None
     # an alternative live detour does not help a single-path protocol
     place(links, (3, 6), (6, 7))
     assert protocols.try_complete(state, links, 0.99) is None
     place(links, planned[-1])
-    assert protocols.try_complete(state, links, 0.99) is state.planned_route
+    assert protocols.try_complete(state, links, 0.99) is state.plan
 
 
 def test_mp_t_finds_detour():
@@ -82,9 +82,9 @@ def test_mp_t_finds_detour():
     links = LinkState(g, q_c=10)
     # only a roundabout route exists in the link-state graph
     place(links, (0, 3), (3, 4), (4, 5), (2, 5))
-    sol = protocols.try_complete(state, links, 0.99)
-    assert sol is not None
-    assert sorted(sol.edges) == [(0, 3), (2, 5), (3, 4), (4, 5)]
+    plan = protocols.try_complete(state, links, 0.99)
+    assert plan is not None
+    assert sorted(plan.route.edges) == [(0, 3), (2, 5), (3, 4), (4, 5)]
 
 
 def test_mp_solutions_only_use_live_edges():
@@ -96,11 +96,11 @@ def test_mp_solutions_only_use_live_edges():
         idx = rng.choice(g.n_edges, size=18, replace=False)
         for i in idx:
             links.born[i] = links.t - int(rng.integers(0, 5))
-        sol = protocols.try_complete(state, links, 0.99)
-        if sol is not None:
+        plan = protocols.try_complete(state, links, 0.99)
+        if plan is not None:
             ages = links.t - np.asarray(links.born)
             live = {g.edges[i] for i in np.nonzero(ages < links.q_c)[0]}
-            assert set(sol.edges) <= live
+            assert set(plan.route.edges) <= live
 
 
 def test_mp_t_beats_mp_s_on_same_snapshot():
@@ -115,15 +115,15 @@ def test_mp_t_beats_mp_s_on_same_snapshot():
         idx = rng.choice(g.n_edges, size=21, replace=False)
         for i in idx:
             links.born[i] = links.t - int(rng.integers(0, 4))
-        t_sol = protocols.try_complete(t_state, links, 0.99)
-        s_sol = protocols.try_complete(s_state, links, 0.99)
-        if t_sol is None or s_sol is None:
+        t_plan = protocols.try_complete(t_state, links, 0.99)
+        s_plan = protocols.try_complete(s_state, links, 0.99)
+        if t_plan is None or s_plan is None:
             continue
         compared += 1
         w = {e: w0 * 0.99 ** (links.t - b)
              for e, w0, b in zip(g.edges, g.w0, links.born)}
-        w_t = math.prod(w[e] for e in t_sol.edges)
-        w_s = math.prod(w[e] for e in s_sol.edges)
+        w_t = math.prod(w[e] for e in t_plan.route.edges)
+        w_s = math.prod(w[e] for e in s_plan.route.edges)
         assert w_t >= w_s - 1e-12
     assert compared > 10
 
@@ -147,14 +147,15 @@ def test_routing_ranks_the_values_that_are_realised(monkeypatch, protocol):
         return select(live_edges, werner, *args, **kwargs)
 
     monkeypatch.setattr(routing, "select_multipath", capture)
-    sol = protocols.try_complete(state, links, 0.99)
+    plan = protocols.try_complete(state, links, 0.99)
     (werner,) = seen
     assert sorted(werner) == sorted(g.edges)
     for e, w in werner.items():
         i = g.edge_index[e]
         assert w.hex() == (g.w0[i] * 0.99 ** (links.t - links.born[i])).hex()
-    realized = protocols.realize_ghz(sol, links, 0.99, users)
-    assert realized.werner_product.hex() == math.prod(werner[e] for e in sol.edges).hex()
+    realized = protocols.realize_ghz(plan, links, 0.99)
+    assert realized.werner_product.hex() == \
+        math.prod(werner[e] for e in plan.route.edges).hex()
 
 
 def test_realize_perfect_links():
@@ -162,11 +163,11 @@ def test_realize_perfect_links():
     users = (0, 2, 6, 8)
     state = protocols.initialize("sp-t", g, users)
     links = LinkState(g, q_c=3)
-    place(links, *state.planned_route.edges)
-    realized = protocols.realize_ghz(state.planned_route, links, 1.0, users)
+    place(links, *state.plan.route.edges)
+    realized = protocols.realize_ghz(state.plan, links, 1.0)
     assert realized.fidelity == pytest.approx(1.0)
     assert realized.mean_age == 0.0
-    assert realized.r_size == state.planned_route.size
+    assert realized.r_size == state.plan.route.size
 
 
 def test_realize_star_matches_closed_form():
@@ -178,7 +179,7 @@ def test_realize_star_matches_closed_form():
     for e, a in ages.items():
         place(links, e, age=a)
     delta = 0.97
-    realized = protocols.realize_ghz(sol, links, delta, users)
+    realized = protocols.realize_ghz(protocols.plan_realisation(sol, g, users), links, delta)
     fbs = [noise.werner_to_fidelity(0.9 * delta ** ages[e]) for e in sol.edges]
     assert realized.fidelity == pytest.approx(noise.star_ghz_fidelity(fbs), abs=1e-12)
     assert realized.mean_age == pytest.approx(np.mean(list(ages.values())))
@@ -195,11 +196,11 @@ def test_realize_respects_bounds():
         idx = rng.choice(g.n_edges, size=20, replace=False)
         for i in idx:
             links.born[i] = links.t - int(rng.integers(0, 6))
-        sol = protocols.try_complete(state, links, 0.98)
-        if sol is None:
+        plan = protocols.try_complete(state, links, 0.98)
+        if plan is None:
             continue
         seen += 1
-        r = protocols.realize_ghz(sol, links, 0.98, users)
+        r = protocols.realize_ghz(plan, links, 0.98)
         assert r.fidelity >= r.branch_fidelity_product - 1e-12
         assert r.branch_fidelity_product >= r.werner_product - 1e-12
         assert r.fidelity >= r.fidelity_floor - 1e-12
@@ -212,7 +213,7 @@ def test_realize_missing_link_is_an_error():
     state = protocols.initialize("sp-t", g, users)
     links = LinkState(g, q_c=3)
     with pytest.raises(RuntimeError):
-        protocols.realize_ghz(state.planned_route, links, 0.99, users)
+        protocols.realize_ghz(state.plan, links, 0.99)
 
 
 def test_two_user_realize_swap_chain():
@@ -220,9 +221,9 @@ def test_two_user_realize_swap_chain():
     users = (0, 8)
     state = protocols.initialize("sp-t", g, users)
     links = LinkState(g, q_c=2)
-    place(links, *state.planned_route.edges)
-    realized = protocols.realize_ghz(state.planned_route, links, 0.99, users)
-    want = noise.werner_to_fidelity(0.9 ** state.planned_route.size)
+    place(links, *state.plan.route.edges)
+    realized = protocols.realize_ghz(state.plan, links, 0.99)
+    want = noise.werner_to_fidelity(0.9 ** state.plan.route.size)
     assert realized.fidelity == pytest.approx(want, abs=1e-12)
 
 
