@@ -42,6 +42,11 @@ MATRIX = {
     "pareto": ("pareto", "--protocol", "mp-t,mp-s,sp-t,sp-s", "--grid", "4",
                "--p", "0.3", "--Qc", "1,3,8", "--user-sets", "2",
                "--successes", "5", "--max-timeslots", "3000"),
+    # dense live graphs: every success is routed on the link state, so its
+    # trial log pins each mp route
+    "run-routed": ("run", "--protocol", "mp-t,mp-s", "--grid", "6", "--p", "0.2",
+                   "--Qc", "13,20", "--users", "4,9,13,16", "--w0", "0.987",
+                   "--delta", "0.99", "--successes", "20", "--trial-log", "all"),
 }
 
 
