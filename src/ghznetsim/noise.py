@@ -108,9 +108,9 @@ def fuse_werner_tree(order: FusionOrder, ws: Sequence[float]) -> float:
         # the branch to the parent keeps the outcome with probability w and
         # otherwise spreads it evenly over all four (I, X, Z and Y errors)
         w = ws[k]
-        t = table[v]
-        rest = (1.0 - w) / 4.0 * sum(t)
-        x0, x1, x2, x3 = t
+        x0, x1, x2, x3 = table[v]
+        # added left to right: the built-in sum rounds differently from 3.12
+        rest = (1.0 - w) / 4.0 * (x0 + x1 + x2 + x3)
         c0, c1, c2, c3 = w * x0 + rest, w * x1 + rest, w * x2 + rest, w * x3 + rest
         p0, p1, p2, p3 = table[up]
         table[up] = (p0 * c0 + p1 * c1, p0 * c1 + p1 * c0,

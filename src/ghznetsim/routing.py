@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter, deque
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .topology import NetworkGraph, canon, reachable, users_connected
@@ -140,16 +140,22 @@ class _Net:
 
 @dataclass(frozen=True)
 class RoutingSolution:
-    """Edge subset connecting the users, with its branch decomposition.
+    """A route as its branches: node paths whose edges together connect the users.
 
-    A tree has no ``center``: its branches are node paths whose interiors
-    contain no user and no fork (node of degree >= 3). A star's branches
-    are the edge-disjoint user-centre paths and ``center`` holds the hub.
+    A tree has no ``center``: its branches are the decomposition
+    ``decompose_tree_branches`` makes, paths between users and forks (nodes
+    of degree >= 3). A star's branches are edge-disjoint paths from each
+    user to the hub ``center``; they may pass through other users. ``edges``
+    is the sorted union of the branch edges.
     """
 
-    edges: tuple[Edge, ...]
     branches: tuple[tuple[int, ...], ...]
     center: int | None = None
+    edges: tuple[Edge, ...] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", tuple(sorted(
+            {canon(u, v) for path in self.branches for u, v in zip(path, path[1:])})))
 
     @property
     def size(self) -> int:
@@ -157,41 +163,24 @@ class RoutingSolution:
 
     def check(self, users: Sequence[int]) -> None:
         """Validate structural invariants; raises RoutingError on failure."""
-        users = set(users)
-        edge_set = set(self.edges)
-        if len(edge_set) != len(self.edges):
-            raise RoutingError("duplicate edges in solution")
-        seen: set[Edge] = set()
-        for path in self.branches:
-            for u, v in zip(path, path[1:]):
-                e = canon(u, v)
-                if e not in edge_set:
-                    raise RoutingError(f"branch edge {e} missing from solution")
-                if e in seen:
-                    raise RoutingError(f"branches share edge {e}")
-                seen.add(e)
-        if seen != edge_set:
-            raise RoutingError("branches do not cover the edge set")
-        degree = Counter(node for e in self.edges for node in e)
-        if not users <= degree.keys():
-            raise RoutingError("solution does not span all users")
-        if not users_connected(self.edges, degree):
-            raise RoutingError("solution is not connected")
+        if sum(len(path) - 1 for path in self.branches) != len(self.edges):
+            raise RoutingError("branches share an edge")
         if self.center is None:
-            if len(self.edges) != len(degree) - 1:
-                raise RoutingError("tree solution contains a cycle")
-            for path in self.branches:
-                for node in path[1:-1]:
-                    if node in users or degree[node] >= 3:
-                        raise RoutingError(f"branch interior contains endpoint node {node}")
+            want, _ = decompose_tree_branches(self.edges, users)
+            if _undirected(self.branches) != _undirected(want):
+                raise RoutingError("not the tree's branches: a branch interior holds "
+                                   "a user or fork, or a branch ends at neither")
         else:
             if self.center in users:
                 raise RoutingError("centre coincides with a user")
-            ends = sorted(path[0] for path in self.branches)
-            if ends != sorted(users):
-                raise RoutingError("star branches do not end at the users")
+            if sorted(path[0] for path in self.branches) != sorted(set(users)):
+                raise RoutingError("star branches do not start at the users")
             if any(path[-1] != self.center for path in self.branches):
                 raise RoutingError("star branch does not reach the centre")
+
+
+def _undirected(paths: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    return sorted(min(tuple(p), tuple(reversed(p))) for p in paths)
 
 
 def decompose_tree_branches(edges: Sequence[Edge],
@@ -212,13 +201,12 @@ def decompose_tree_branches(edges: Sequence[Edge],
         adj.setdefault(v, []).append(u)
     for nbrs in adj.values():
         nbrs.sort()
-    nodes = set(adj)
-    if not users_set <= nodes:
+    if not users_set <= adj.keys():
         raise RoutingError("tree does not span the users")
-    if len(edge_set) != len(nodes) - 1:
-        raise RoutingError("edge set is not a tree")
-    if len(reachable(adj, next(iter(adj)))) != len(nodes):
+    if len(reachable(adj, next(iter(adj)))) != len(adj):
         raise RoutingError("edge set is not connected")
+    if len(edge_set) != len(adj) - 1:
+        raise RoutingError("edge set is not a tree")
     for node, nbrs in adj.items():
         if len(nbrs) == 1 and node not in users_set:
             raise RoutingError(f"non-user leaf {node}")
@@ -234,31 +222,19 @@ def decompose_tree_branches(edges: Sequence[Edge],
                 continue
             path = [endpoint, nbr]
             used.add(e)
+            # past the tree checks, every node but an endpoint has two neighbours
             while path[-1] not in endpoints:
                 prev, here = path[-2], path[-1]
-                nxt = [y for y in adj[here] if y != prev]
-                if len(nxt) != 1:
-                    raise RoutingError(f"unexpected junction at node {here}")
-                path.append(nxt[0])
-                used.add(canon(here, nxt[0]))
+                a, b = adj[here]
+                nxt = b if a == prev else a
+                path.append(nxt)
+                used.add(canon(here, nxt))
             branches.append(tuple(path))
     return branches, forks
 
 
-def branch_specs(branches: Iterable[Sequence[int]], edge_werner: Mapping[Edge, float]
-                 ) -> list[tuple[int, int, list[float]]]:
-    """``(end, end, Werner values along the path)`` per branch node path, the
-    input of the GHZ pipelines; ``edge_werner`` may key an edge either way."""
-    return [(path[0], path[-1],
-             [edge_werner[(u, v) if (u, v) in edge_werner else (v, u)]
-              for u, v in zip(path, path[1:])])
-            for path in branches]
-
-
-def _tree_solution(edges: Iterable[Edge], users: Sequence[int]) -> RoutingSolution:
-    edges = tuple(sorted(canon(*e) for e in edges))
-    branches, _ = decompose_tree_branches(edges, users)
-    return RoutingSolution(edges, tuple(branches))
+def _tree_solution(edges: set[Edge], users: Sequence[int]) -> RoutingSolution:
+    return RoutingSolution(tuple(decompose_tree_branches(edges, users)[0]))
 
 
 def _steiner_dp(net: _Net, terminals: Sequence[int]) -> set[Edge]:
@@ -274,9 +250,7 @@ def _steiner_dp(net: _Net, terminals: Sequence[int]) -> set[Edge]:
     full = (1 << len(terminals)) - 1
     dp: list = [None] * (full + 1)
     for i, t in enumerate(terminals):
-        dp[1 << i] = cp, cs, ch, prov = net.costs()
-        cp[t] = 0.0
-        _relax(adj, cp, cs, ch, prov, [(0.0, 0.0, 0, t)])
+        dp[1 << i] = net.dijkstra(t)
     root = terminals[0]
     if any(dp[1][0][t] == _INF for t in terminals):
         raise NoRouteError("terminals are not connected")
@@ -599,9 +573,7 @@ def star_route(edges: Sequence[Edge], values: Mapping[Edge, float],
     if flow.send(source, len(users)) < len(users):
         raise NoRouteError("no edge-disjoint path system to all users")
     paths = flow.path_decomposition(source)
-    branches = tuple(sorted(tuple(reversed(p)) for p in paths))
-    solution_edges = tuple(sorted(canon(u, v) for p in paths for u, v in zip(p, p[1:])))
-    return RoutingSolution(solution_edges, branches, center)
+    return RoutingSolution(tuple(sorted(tuple(reversed(p)) for p in paths)), center)
 
 
 def star_flow_feasible(edges: Sequence[Edge], users: Sequence[int], center: int) -> bool:

@@ -16,10 +16,11 @@ qubits for a swap, b + 2 for the last fusion of b branches) is limited to
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import routing
 from .noise import check_werner
 
 MAX_ORACLE_QUBITS = 10
@@ -151,6 +152,16 @@ def remove_dense(rho: np.ndarray, n: int, qubit: int) -> np.ndarray:
     return plus + apply_z(minus, 0, n - 1)
 
 
+def branch_specs(branches: Iterable[Sequence[int]], edge_werner: Mapping[tuple[int, int], float]
+                 ) -> list[tuple[int, int, list[float]]]:
+    """``(end, end, Werner values along the path)`` per branch node path, the
+    input of ``pipeline_fidelity``; ``edge_werner`` may key an edge either way."""
+    return [(path[0], path[-1],
+             [edge_werner[(u, v) if (u, v) in edge_werner else (v, u)]
+              for u, v in zip(path, path[1:])])
+            for path in branches]
+
+
 def pipeline_fidelity(branches: Sequence[tuple[int, int, Sequence[float]]],
                       users: Sequence[int],
                       removal_nodes: Sequence[int]) -> float:
@@ -219,8 +230,5 @@ def tree_ghz_fidelity(edges: Sequence[tuple[int, int]],
     ``edges`` must form a tree spanning the users with no non-user leaves;
     ``edge_werner`` holds the Werner parameter of each link at use time.
     """
-    from . import routing
-
     branches, forks = routing.decompose_tree_branches(edges, users)
-    return pipeline_fidelity(routing.branch_specs(branches, edge_werner),
-                             list(users), forks)
+    return pipeline_fidelity(branch_specs(branches, edge_werner), list(users), forks)

@@ -127,7 +127,7 @@ def suite_state_oracle(n_trees: int = 200, tol: float = 1e-10, seed: int = 99):
         edges, werner, users = random_tree_instance(rng)
         branches, _ = routing.decompose_tree_branches(edges, users)
         f_closed = noise.werner_tree_fidelity(
-            [(a, b, math.prod(ws)) for a, b, ws in routing.branch_specs(branches, werner)],
+            [(a, b, math.prod(ws)) for a, b, ws in statesim.branch_specs(branches, werner)],
             users)
         f_dense = statesim.tree_ghz_fidelity(edges, werner, users)
         worst = max(worst, abs(f_closed - f_dense))

@@ -4,7 +4,7 @@ import statistics
 import numpy as np
 import pytest
 
-from ghznetsim import engine, experiments, noise, protocols, routing, topology
+from ghznetsim import engine, experiments, noise, protocols, routing, statesim, topology
 from ghznetsim.engine import ConfigError, LinkState, SimConfig
 from ghznetsim.experiments import SweepSpec
 from ghznetsim.protocols import TrialResult
@@ -143,7 +143,7 @@ def reference_realize(g, solution, t, born, delta, users):
     ages = [t - born[i] for i in idx]
     werner = {e: g.w0[i] * delta ** a for e, i, a in zip(solution.edges, idx, ages)}
     branches = [(a, b, math.prod(map(noise.check_werner, ws)))
-                for a, b, ws in routing.branch_specs(solution.branches, werner)]
+                for a, b, ws in statesim.branch_specs(solution.branches, werner)]
     mean_age = sum(ages) / len(ages)
     r_size = len(solution.edges)
     return TrialResult(

@@ -201,7 +201,7 @@ def routed_structures():
 def test_routed_structures_match_the_oracle():
     kinds = []
     for sol, werner, users in routed_structures():
-        got, want = closed_and_dense(routing.branch_specs(sol.branches, werner), users)
+        got, want = closed_and_dense(statesim.branch_specs(sol.branches, werner), users)
         assert abs(got - want) <= 1e-12, (sol, users)
         degree = Counter(x for e in sol.edges for x in e)
         kind = "tree" if sol.center is None else "star"
@@ -228,6 +228,15 @@ def test_werner_tree_fidelity_bell_and_extremes():
     # fully mixed branches into three users leave the maximally mixed state
     mixed = [(9, 0, 0.0), (9, 1, 0.0), (9, 2, 0.0)]
     assert noise.werner_tree_fidelity(mixed, [0, 1, 2]) == pytest.approx(1 / 8)
+
+
+def test_fusion_adds_a_node_left_to_right():
+    # exactly rounded per-node sums, as the built-in sum gives from Python
+    # 3.12, end in ...955p-3
+    ws = [float.fromhex(h) for h in
+          ("0x1.229e2b11a1696p-2", "0x1.408f9e2edb9acp-2", "0x1.8ca0c709c35bep-1")]
+    order = noise.fusion_order([(1, 0, 2), (1, 3), (1, 4)], [2, 3, 4])
+    assert noise.fuse_werner_tree(order, ws).hex() == "0x1.d395f40101956p-3"
 
 
 @pytest.mark.parametrize("branches, users", [

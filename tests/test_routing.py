@@ -349,18 +349,46 @@ def test_decompose_rejects_forest():
 
 
 def test_check_rejects_disconnected_solution():
-    sol = routing.RoutingSolution(edges=((0, 1), (2, 3)), branches=((0, 1), (2, 3)))
+    sol = routing.RoutingSolution(((0, 1), (2, 3)))
     with pytest.raises(RoutingError, match="not connected"):
         sol.check([0, 3])
 
 
 def test_check_rejects_branch_through_fork():
     # node 3 has degree 3, so a tree branch may end there but not pass it
-    sol = routing.RoutingSolution(edges=((0, 3), (1, 3), (2, 3)),
-                                  branches=((0, 3, 1), (3, 2)))
+    sol = routing.RoutingSolution(((0, 3, 1), (3, 2)))
     with pytest.raises(RoutingError, match="branch interior"):
         sol.check([0, 1, 2])
-    routing.RoutingSolution(sol.edges, ((0, 3), (1, 3), (2, 3))).check([0, 1, 2])
+    routing.RoutingSolution(((0, 3), (1, 3), (2, 3))).check([0, 1, 2])
+
+
+def test_check_holds_a_tree_to_its_decomposition():
+    sol = routing.RoutingSolution(((0, 1), (1, 2)))
+    assert sol.edges == ((0, 1), (1, 2))
+    with pytest.raises(RoutingError, match="non-user leaf 2"):
+        sol.check([0, 1])
+    # node 1 is neither a user nor a fork, so the tree is the one branch 0-1-2
+    with pytest.raises(RoutingError, match="branch interior"):
+        sol.check([0, 2])
+    routing.RoutingSolution(((2, 1, 0),)).check([0, 2])
+
+
+def test_check_rejects_branches_sharing_an_edge():
+    with pytest.raises(RoutingError, match="share an edge"):
+        routing.RoutingSolution(((0, 1, 2), (2, 1))).check([0, 1, 2])
+    with pytest.raises(RoutingError, match="share an edge"):
+        routing.RoutingSolution(((1, 0), (2, 1, 0)), center=0).check([1, 2])
+
+
+def test_star_branch_may_relay_through_a_user():
+    # the min-cost flow has no node capacities: user 2's only link is to
+    # user 1, so its branch runs through user 1
+    edges = [(0, 1), (0, 3), (1, 3), (1, 2)]
+    values = {e: 0.9 for e in edges}
+    sol = routing.star_route(edges, values, [1, 2], 0)
+    assert sol.branches == ((1, 0), (2, 1, 3, 0))
+    sol.check([1, 2])
+    assert routing.select_multipath(edges, values, [1, 2], "star", center=0) == sol
 
 
 def test_flow_tolerates_equal_cost_cycles():
