@@ -153,7 +153,7 @@ class RoutingSolution:
     center: int | None = None
     edges: tuple[Edge, ...] = field(init=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         object.__setattr__(self, "edges", tuple(sorted(
             {canon(u, v) for path in self.branches for u, v in zip(path, path[1:])})))
 
