@@ -7,12 +7,15 @@ failed check would fail again). A link is stored as the slot b it was made
 in; in slot t it has age t - b and is usable while that age is below the
 cutoff, so with a cutoff of 1 a link is usable only in the slot it was made in.
 
-Randomness is derived from one root seed with ``spawn_key`` streams per
-(user set, trial), so results are independent of execution order and
-experiments parallelise across user sets without losing reproducibility.
-A trial takes its uniforms from a buffer of ``rng.random`` blocks, the values
-one ``rng.random(n_free)`` per slot would give. Aggregation always merges
-results in user-set index order.
+Randomness is derived from one root seed: trial k of user set s draws from
+``Generator(PCG64(SeedSequence(seed, spawn_key=(0, s, k))))``, so results are
+independent of execution order and experiments parallelise across user sets
+without losing reproducibility. ``trial_rngs`` builds these generators bit
+for bit without a ``SeedSequence`` per trial: it hashes the seed words of a
+batch of trials in one numpy pass and hands each trial's words to numpy's
+own PCG64 seeding. A trial takes its uniforms from a buffer of
+``rng.random`` blocks, the values one ``rng.random(n_free)`` per slot would
+give. Aggregation always merges results in user-set index order.
 """
 
 from __future__ import annotations
@@ -31,6 +34,13 @@ from .topology import NetworkGraph
 
 
 CHI2_999 = 10.827566170662733  # chi2.ppf(0.999, df=1), the 99.9% quantile
+
+SEED_BATCH = 64                 # trials whose seed words are hashed in one pass
+# numpy's SeedSequence hash (NEP 19) works on 32-bit words with these constants
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875       # mixing entropy into the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED       # generating words from the pool
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 class ConfigError(ValueError):
@@ -150,13 +160,92 @@ class SetMetrics:
     trials: tuple[TrialResult, ...] = field(repr=False, default=())
 
 
+def _hash(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of 32-bit words held in a uint64 array: the hashed
+    words and the next hash constant."""
+    nxt = const * mult & _M32
+    value = (value ^ const) * nxt & _M32
+    return value ^ value >> 16, nxt
+
+
+def _trial_seed_words(pool: list[int], const: int, ks: np.ndarray) -> np.ndarray:
+    """PCG64's four seed words for each trial index in ``ks``, one row per trial.
+
+    Each index (below 2**32, so one entropy word) is mixed into ``pool``,
+    whose next hash constant is ``const``. Then, as in
+    ``generate_state(4, np.uint64)``, eight 32-bit words are hashed from the
+    pool and paired little-endian.
+    """
+    pool = list(pool)
+    for dst in range(4):
+        hashed, const = _hash(ks, const, _MULT_A)
+        mixed = (_MIX_L * pool[dst] - _MIX_R * hashed) & _M32
+        pool[dst] = mixed ^ mixed >> 16
+    const, out = _INIT_B, []
+    for i in range(8):
+        value, const = _hash(pool[i % 4], const, _MULT_B)
+        out.append(value)
+    return np.stack([lo | hi << 32 for lo, hi in zip(out[0::2], out[1::2])], axis=1)
+
+
+def trial_rngs(seed: int, set_idx: int, first: int = 0):
+    """Generators of trials ``first``, ``first + 1``, ... of user set ``set_idx``.
+
+    Trial k's is ``Generator(PCG64(SeedSequence(seed, spawn_key=(0, set_idx,
+    k))))`` bit for bit. k's entropy word comes last, so the pool before it
+    is ``SeedSequence(seed, spawn_key=(0, set_idx))``'s; k is mixed in, and
+    the PCG64 seed words generated, for SEED_BATCH trials at a time in exact
+    uint32 arithmetic held in uint64 arrays. A k of 2**32 or more has two
+    words, and SeedSequence seeds it itself.
+    """
+    # numpy.random is imported on first use, not with the engine (about 12 ms)
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        """Seed words computed ahead, for numpy's own PCG64 seeding, which
+        asks for exactly these four uint64 words."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    prefix = np.random.SeedSequence(seed, spawn_key=(0, set_idx))
+    pool = [int(word) for word in prefix.pool]
+    # the pool took 16 hashes to fill and cross-mix, then 4 per later word:
+    # the seed's beyond the pool's 4 (it is padded to 4), 0 and set_idx's
+    n_words = [max(1, (int(n).bit_length() + 31) // 32) for n in (seed, set_idx)]
+    n_hashed = 16 + 4 * (max(n_words[0], 4) - 4 + 1 + n_words[1])
+    const = _INIT_A * pow(_MULT_A, n_hashed, 2**32) & _M32
+    k = first
+    while k < 2**32:
+        ks = np.arange(k, min(k + SEED_BATCH, 2**32), dtype=np.uint64)
+        for words in _trial_seed_words(pool, const, ks):
+            yield np.random.Generator(np.random.PCG64(SeedWords(words)))
+        k += len(ks)
+    while True:
+        seq = np.random.SeedSequence(seed, spawn_key=(0, set_idx, k))
+        yield np.random.Generator(np.random.PCG64(seq))
+        k += 1
+
+
 def run_user_set(config: SimConfig, users: tuple[int, ...], set_idx: int,
-                 keep_trials: bool = True) -> SetMetrics:
-    """All trials for one user set, stopping at the success target or budget."""
-    try:
-        state = protocols.initialize(config.protocol, config.graph, users)
-    except NoRouteError:
+                 keep_trials: bool = True, states: dict | None = None) -> SetMetrics:
+    """All trials for one user set, stopping at the success target or budget.
+
+    ``states`` maps set indices to the protocol states planned for them (None
+    where no static route exists); this set's is taken from it, or planned
+    and added.
+    """
+    states = {} if states is None else states
+    if set_idx not in states:
+        try:
+            states[set_idx] = protocols.initialize(config.protocol, config.graph, users)
+        except NoRouteError:
+            states[set_idx] = None
+    state = states[set_idx]
+    if state is None:
         return SetMetrics(status="infeasible")
+    rngs = trial_rngs(config.seed, set_idx)
     consumed = 0
     trials: list[TrialResult] = []
     successes = 0
@@ -164,12 +253,9 @@ def run_user_set(config: SimConfig, users: tuple[int, ...], set_idx: int,
     fid_sum = 0.0
     rs_sum = 0.0
     age_sum = 0.0
-    trial_idx = 0
     while successes < config.target_successes and consumed < config.max_set_timeslots:
         cap = config.max_set_timeslots - consumed
-        seq = np.random.SeedSequence(config.seed, spawn_key=(0, set_idx, trial_idx))
-        rng = np.random.Generator(np.random.PCG64(seq))
-        result = run_trial(config.graph, state, config.delta, config.q_c, cap, rng)
+        result = run_trial(config.graph, state, config.delta, config.q_c, cap, next(rngs))
         consumed += result.timeslots
         if result.success:
             successes += 1
@@ -180,7 +266,6 @@ def run_user_set(config: SimConfig, users: tuple[int, ...], set_idx: int,
             timeouts += 1
         if keep_trials:
             trials.append(result)
-        trial_idx += 1
     dr = successes / consumed if consumed else 0.0
     ci = dr_confidence_interval(successes, consumed) if consumed else (0.0, 0.0)
     return SetMetrics(
@@ -209,8 +294,10 @@ class AggregateMetrics:
     omit_reason: str = ""
 
 
-def _worker(args) -> SetMetrics:
-    return run_user_set(*args)
+def _worker(args) -> tuple[SetMetrics, dict]:
+    """One user set in a pool process, returned with the state planned for it."""
+    *job, states = args
+    return run_user_set(*job, states=states), states
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -222,25 +309,34 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def run_experiment(config: SimConfig, workers: int | None = None,
-                   keep_trials: bool = True) -> AggregateMetrics:
+                   keep_trials: bool = True, states: dict | None = None) -> AggregateMetrics:
     """Run every user set and pool the results (merged in index order).
 
     A first user set with zero successes already dooms the datapoint under
     the omission rule, so the later sets are then skipped without changing
     any valid result. The first set always runs alone, so this decision is
     identical whether or not the remaining sets run in parallel.
+
+    ``states`` is ``run_user_set``'s, for cells that differ only in cutoff to
+    share; sets planned in pool processes are added to it as well.
     """
+    states = {} if states is None else states
     jobs = [(config, users, i, keep_trials) for i, users in enumerate(config.user_sets)]
-    first = _worker(jobs[0])
+    first = run_user_set(*jobs[0], states=states)
     if len(jobs) > 1 and first.successes == 0:      # an infeasible set has none
         return aggregate((first,) + (SetMetrics(status="skipped"),) * (len(jobs) - 1))
     rest = jobs[1:]
     n_workers = resolve_workers(workers)
     if n_workers > 1 and len(rest) > 1:
+        # each job carries only its own set's state, if planned
+        own = [(*job, {i: s for i, s in states.items() if i == job[2]}) for job in rest]
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            sets = [first] + list(pool.map(_worker, rest))
+            done = list(pool.map(_worker, own))
+        for _, planned in done:
+            states.update(planned)
+        sets = [first] + [metrics for metrics, _ in done]
     else:
-        sets = [first] + [_worker(job) for job in rest]
+        sets = [first] + [run_user_set(*job, states=states) for job in rest]
     return aggregate(tuple(sets))
 
 

@@ -2,8 +2,10 @@
 
 A sweep runs one experiment cell per (protocol, generation probability,
 cutoff, grid size) combination from one root seed, and every cell of a grid
-size runs the same user sets. Results are written as a CSV of per-set and
-pooled rows, a JSON summary, and optionally JSON-lines trial records.
+size runs the same user sets. The cells of one (grid size, p) share one
+graph, on which each protocol plans a user set once. Results are written as
+a CSV of per-set and pooled rows, a JSON summary, and optionally JSON-lines
+trial records.
 All floating-point output uses 17 significant digits so files round-trip
 exactly and re-runs are byte-identical.
 """
@@ -97,11 +99,11 @@ def user_sets(spec: SweepSpec, n_nodes: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(int(u) for u in pick)) for pick in picks)
 
 
-def cell_config(spec: SweepSpec, protocol: str, p: float, q_c: int, m: int,
-                sets: tuple[tuple[int, ...], ...]) -> SimConfig:
-    """One cell of the sweep, on the m x m grid's user sets ``sets``."""
+def cell_config(spec: SweepSpec, graph: topology.NetworkGraph, protocol: str,
+                q_c: int, sets: tuple[tuple[int, ...], ...]) -> SimConfig:
+    """One cell of the sweep, on ``graph`` and its user sets ``sets``."""
     return SimConfig(
-        graph=topology.make_grid(m, p, spec.w0), protocol=protocol, delta=spec.delta,
+        graph=graph, protocol=protocol, delta=spec.delta,
         q_c=q_c, user_sets=sets, target_successes=spec.target_successes,
         max_set_timeslots=spec.max_set_timeslots, seed=spec.seed)
 
@@ -109,19 +111,27 @@ def cell_config(spec: SweepSpec, protocol: str, p: float, q_c: int, m: int,
 def run_sweep(spec: SweepSpec, workers: int | None = None, keep_trials: bool = True,
               progress=None, start=None, grid_users=None) -> list[CellResult]:
     """Every cell, in order: ``start()`` runs once all are checked, ``progress(cell)``
-    after each; ``grid_users(m)``, if given, is each m x m cell's one user set."""
+    after each; ``grid_users(m)``, if given, is each m x m cell's one user set.
+
+    The cells of one (m, p) share one graph, and those that differ only in
+    cutoff share their protocol states, so each user set is planned at most
+    once per protocol; nothing planned outlives the call.
+    """
     # every cell's configuration is built, and so checked, before any cell runs
     sets = {m: (grid_users(m),) if grid_users else user_sets(spec, m * m)
             for m in spec.grid_sizes}
-    plan = [(protocol, p, q_c, m, cell_config(spec, protocol, p, q_c, m, sets[m]))
+    graphs = {(m, p): topology.make_grid(m, p, spec.w0)
+              for m in spec.grid_sizes for p in spec.p_values}
+    plan = [(protocol, p, q_c, m, cell_config(spec, graphs[m, p], protocol, q_c, sets[m]))
             for m in spec.grid_sizes for p in spec.p_values
             for protocol in spec.protocols for q_c in spec.qc_values]
     if start is not None:
         start()
+    states: dict[tuple, dict] = {}      # (m, p, protocol) -> run_user_set's states
     cells = []
     for protocol, p, q_c, m, config in plan:
-        metrics = engine.run_experiment(config, workers=workers,
-                                        keep_trials=keep_trials)
+        metrics = engine.run_experiment(config, workers=workers, keep_trials=keep_trials,
+                                        states=states.setdefault((m, p, protocol), {}))
         cells.append(CellResult(protocol, p, q_c, m, metrics))
         if progress is not None:
             progress(cells[-1])

@@ -203,6 +203,8 @@ def decompose_tree_branches(edges: Sequence[Edge],
         nbrs.sort()
     if not users_set <= adj.keys():
         raise RoutingError("tree does not span the users")
+    if not adj:
+        raise RoutingError("edge set is empty")
     if len(reachable(adj, next(iter(adj)))) != len(adj):
         raise RoutingError("edge set is not connected")
     if len(edge_set) != len(adj) - 1:

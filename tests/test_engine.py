@@ -342,6 +342,12 @@ def test_infeasible_static_star_is_flagged():
     metrics = engine.run_experiment(cfg, workers=1)
     assert not metrics.valid
     assert metrics.sets[0].status == "infeasible"
+    # shared states record the set as infeasible, and a second cell reads that
+    states = {}
+    for _ in range(2):
+        metrics = engine.run_experiment(cfg, workers=1, states=states)
+        assert metrics.sets[0].status == "infeasible"
+        assert states == {0: None}
 
 
 @pytest.mark.parametrize("protocol", ["sp-t", "mp-t", "sp-s", "mp-s"])
@@ -440,20 +446,33 @@ def test_config_validation():
         sampled_sets(grid, 10, 1, 0)
 
 
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**128 + 3])
+@pytest.mark.parametrize("set_idx", [0, 2**40])
+def test_trial_streams_are_numpys(seed, set_idx):
+    # at the edges of a hashed batch, and where the trial index grows a
+    # second 32-bit word, trial k draws SeedSequence's stream for its key
+    b = engine.SEED_BATCH
+    got = dict(zip(range(b + 2), engine.trial_rngs(seed, set_idx)))
+    late = engine.trial_rngs(seed, set_idx, first=2**32 - 1)
+    got.update({2**32 - 1: next(late), 2**32: next(late)})
+    for k in (0, 1, b - 1, b, b + 1, 2**32 - 1, 2**32):
+        seq = np.random.SeedSequence(seed, spawn_key=(0, set_idx, k))
+        want = np.random.Generator(np.random.PCG64(seq))
+        assert got[k].bit_generator.state == want.bit_generator.state, k
+        assert got[k].random(16).tolist() == want.random(16).tolist(), k
+
+
 def test_trial_rng_streams_are_order_insensitive():
-    # the same (seed, set, trial) key gives the same stream regardless of
-    # how many other trials ran before it
+    # the engine's stream for a (seed, set, trial) key is the same however
+    # many other trials were drawn before it
     g = topology.make_grid(3, 0.3, 0.95)
     state = protocols.initialize("mp-t", g, (0, 8))
 
-    def trial(seed, set_idx, trial_idx):
-        seq = np.random.SeedSequence(seed, spawn_key=(0, set_idx, trial_idx))
-        rng = np.random.Generator(np.random.PCG64(seq))
+    def trial(rng):
         return engine.run_trial(g, state, 0.99, 3, 10_000, rng)
 
-    a = trial(5, 2, 7)
-    b = trial(5, 2, 7)
-    assert a == b
+    in_order = [rng for _, rng in zip(range(8), engine.trial_rngs(5, 2))]
+    assert trial(in_order[7]) == trial(next(engine.trial_rngs(5, 2, first=7)))
 
 
 def test_pooled_dr_is_successes_per_timeslot():

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from ghznetsim import experiments
+from ghznetsim import experiments, routing
 from ghznetsim.engine import ConfigError
 from ghznetsim.experiments import (
     Point,
@@ -126,6 +126,49 @@ def test_every_cell_of_a_grid_runs_the_same_sets(monkeypatch):
         got = {c.user_sets for c, cell in zip(configs, cells) if cell.m == m}
         assert got == {experiments.user_sets(spec, m * m)}
         assert len(next(iter(got))) == 5
+    # and every cell of a (grid, p) pair runs on the one graph
+    graphs = {(cell.m, cell.p): c.graph for c, cell in zip(configs, cells)}
+    assert len({id(g) for g in graphs.values()}) == 4
+    assert all(c.graph is graphs[cell.m, cell.p] for c, cell in zip(configs, cells))
+
+
+def planned_sweep(**overrides):
+    return tiny_spec(protocols=("sp-t", "sp-s"), qc_values=(3, 8), p_values=(0.3,),
+                     grid_sizes=(4,), users=None, n_users=3, **overrides)
+
+
+def test_each_user_set_is_planned_once_per_sweep(monkeypatch):
+    calls = []
+    plan = routing.select_single_path
+
+    def counting(g, users, kind):
+        calls.append((users, kind))
+        return plan(g, users, kind)
+
+    monkeypatch.setattr(routing, "select_single_path", counting)
+    spec = planned_sweep(user_sets=2)
+    cells = run_sweep(spec, workers=1)
+    assert all(s.status == "ok" for cell in cells for s in cell.metrics.sets)
+    # two protocols x two sets, whatever the number of cutoffs
+    assert len(calls) == len(set(calls)) == 4
+    # nothing planned outlives the sweep that planned it
+    run_sweep(spec, workers=1)
+    assert len(calls) == 8
+
+
+def test_shared_states_write_the_same_files_in_parallel(tmp_path):
+    # three sets, so the second and third run in pool processes and the states
+    # planned there come back for the next cutoff
+    spec = planned_sweep(user_sets=3)
+    for workers in (1, 2):
+        cells = run_sweep(spec, workers=workers)
+        out = tmp_path / str(workers)
+        out.mkdir()
+        experiments.write_csv(cells, out / "results.csv")
+        experiments.write_summary(cells, out / "summary.json")
+        experiments.write_trials_jsonl(cells, out / "trials.jsonl", which="all")
+    for name in ("results.csv", "summary.json", "trials.jsonl"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_mp_t_never_finishes_after_mp_s():

@@ -348,10 +348,20 @@ def test_decompose_rejects_forest():
             routing.decompose_tree_branches(forest, users)
 
 
+def test_decompose_rejects_empty_tree():
+    with pytest.raises(RoutingError, match="empty"):
+        routing.decompose_tree_branches([], [])
+
+
 def test_check_rejects_disconnected_solution():
     sol = routing.RoutingSolution(((0, 1), (2, 3)))
     with pytest.raises(RoutingError, match="not connected"):
         sol.check([0, 3])
+
+
+def test_check_rejects_empty_route():
+    with pytest.raises(RoutingError, match="empty"):
+        routing.RoutingSolution(()).check([])
 
 
 def test_check_rejects_branch_through_fork():
