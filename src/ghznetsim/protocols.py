@@ -6,7 +6,10 @@ attempt link generation only on its edges; they complete when every planned
 edge holds a live link. Multi-path protocols (mp-s, mp-t) attempt generation
 on every edge and re-run routing on the link-state graph each timeslot,
 completing as soon as any feasible solution exists; the solution returned is
-the one maximising the Werner product over the current links.
+the one maximising the Werner product over the current links. Their check
+runs the most selective test first: the mp-s centre's live links, each
+user's, then the live core (``topology.live_core``); routing sees only the
+core's edges, on which it finds the same route as on every live link.
 
 A route becomes a ``RealisationPlan`` before any state is realised from it:
 single-path protocols plan once per user set, multi-path ones once per
@@ -23,7 +26,7 @@ from typing import NamedTuple
 from . import routing
 from .noise import (FusionOrder, check_werner, fuse_werner_tree, fusion_order,
                     werner_to_fidelity)
-from .topology import NetworkGraph, TopologyError, canon, centroid_node
+from .topology import NetworkGraph, TopologyError, canon, centroid_node, live_core
 
 
 class Protocol(str, enum.Enum):
@@ -119,26 +122,43 @@ def try_complete(state: ProtocolState, links, delta: float) -> RealisationPlan |
 
     Single-path protocols return their plan only when its route is fully
     live. Multi-path protocols search the link-state graph and plan the
-    solution found; cheap incidence checks reject most infeasible timeslots
-    before any graph algorithm runs.
+    solution found; cheap incidence checks, then the live-core search,
+    reject most infeasible timeslots before any Werner value is computed.
+    Each check only returns None, so their order changes no result.
     """
     born, t = links.born, links.t
     expired = t - links.q_c
+    # plain loops, not all(<genexpr>): these run on every checked slot, and
+    # a generator costs more than the few edge tests it makes
     if state.plan is not None:
-        all_live = all(born[i] > expired for i, _ in state.tracked)
-        return state.plan if all_live else None
-    for inc in state.user_incidence:
-        if all(born[i] <= expired for i in inc):
-            return None
+        for i, _ in state.tracked:
+            if born[i] <= expired:
+                return None
+        return state.plan
+    # one live centre link per user: the most selective test, so it runs first
     if state.center_incidence is not None:
-        if sum(born[i] > expired for i in state.center_incidence) < len(state.users):
+        live = 0
+        for i in state.center_incidence:
+            if born[i] > expired:
+                live += 1
+        if live < len(state.users):
             return None
-    edges, w0 = links.graph.edges, links.graph.w0
-    werner = {edges[i]: w0[i] * delta ** (t - b)
-              for i, b in enumerate(born) if b > expired}
+    for inc in state.user_incidence:
+        for i in inc:
+            if born[i] > expired:
+                break
+        else:
+            return None
+    g = links.graph
+    keep = state.users if state.center is None else (*state.users, state.center)
+    core = live_core(g, born, expired, keep)
+    if core is None:
+        return None
+    edges, w0 = g.edges, g.w0
+    werner = {edges[i]: w0[i] * delta ** (t - born[i]) for i in core}
     route = routing.select_multipath(list(werner), werner, state.users,
                                      state.kind.routing_kind, center=state.center)
-    return None if route is None else plan_realisation(route, links.graph, state.users)
+    return None if route is None else plan_realisation(route, g, state.users)
 
 
 @dataclass(frozen=True)

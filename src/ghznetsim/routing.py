@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .topology import NetworkGraph, canon, reachable, users_connected
+from .topology import NetworkGraph, canon, peel_leaves, reachable, users_connected
 
 Edge = tuple[int, int]
 
@@ -305,21 +305,6 @@ def _steiner_dp(net: _Net, terminals: Sequence[int]) -> set[Edge]:
     return edges
 
 
-def _prune_leaves(edges: set[Edge], keep: set[int]) -> set[Edge]:
-    edges = set(edges)
-    while True:
-        degree: dict[int, int] = {}
-        for u, v in edges:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        drop = [e for e in edges if
-                (degree[e[0]] == 1 and e[0] not in keep) or
-                (degree[e[1]] == 1 and e[1] not in keep)]
-        if not drop:
-            return edges
-        edges.difference_update(drop)
-
-
 def exact_steiner_tree(edges: Sequence[Edge], values: Mapping[Edge, float],
                        terminals: Sequence[int],
                        secondary: Mapping[Edge, float] | None = None) -> RoutingSolution:
@@ -411,13 +396,16 @@ def _spanning_fallback(tree: set[Edge], values: Mapping[Edge, float],
         return x
 
     chosen: set[Edge] = set()
+    adj: dict[int, list[int]] = {}
     for e in ranked:
         ra, rb = find(e[0]), find(e[1])
         if ra != rb:
             parent[ra] = rb
             chosen.add(e)
-    chosen = _prune_leaves(chosen, set(terminals))
-    return _tree_solution(chosen, terminals)
+            adj.setdefault(e[0], []).append(e[1])
+            adj.setdefault(e[1], []).append(e[0])
+    removed = peel_leaves(adj, set(terminals))
+    return _tree_solution({e for e in chosen if removed.isdisjoint(e)}, terminals)
 
 
 class _FlowNet:

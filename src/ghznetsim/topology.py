@@ -5,12 +5,16 @@ Nodes are dense integers ``0..n-1``. Edges are unordered pairs ``(u, v)`` with
 Werner parameter, held as tuples of floats in edge order. A graph is
 checked to be connected when it is built, is immutable after that, and is
 safe to share between threads or processes.
+
+``live_core`` is the trial loop's connectivity test: it walks a graph's
+live links by edge index, reading birth slots in place, and returns the
+edges left once ``peel_leaves`` has removed the non-user leaves.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 
 class TopologyError(ValueError):
@@ -129,6 +133,55 @@ def reachable(adj: Mapping[int, Iterable[int]], source: int) -> set[int]:
                 seen.add(y)
                 stack.append(y)
     return seen
+
+
+def peel_leaves(adj: Mapping[int, Sequence[int]], keep: Container[int]) -> set[int]:
+    """Nodes deleted by repeatedly deleting a node of degree 1 not in ``keep``.
+
+    One linear pass over a stack of such leaves: deleting one lowers its
+    neighbour's degree, which may make the neighbour the next leaf. What
+    remains does not depend on the deletion order.
+    """
+    degree = {x: len(nbrs) for x, nbrs in adj.items()}
+    stack = [x for x, d in degree.items() if d == 1 and x not in keep]
+    removed: set[int] = set()
+    while stack:
+        x = stack.pop()
+        removed.add(x)
+        for y in adj[x]:
+            if y not in removed:
+                degree[y] -= 1
+                if degree[y] == 1 and y not in keep:
+                    stack.append(y)
+    return removed
+
+
+def live_core(g: NetworkGraph, born: Sequence[int], expired: int,
+              keep: Sequence[int]) -> list[int] | None:
+    """Ascending indices of the live edges a route joining ``keep`` can use.
+
+    Edge ``i`` is live while ``born[i] > expired``. Searches the live edges
+    from ``keep[0]`` by graph index and returns None if some ``keep`` node
+    is not reached; otherwise peels the non-``keep`` leaves of that
+    component and returns the edges left. Other components and the peeled
+    trees hang off no path between two kept nodes, so a cheapest tree or
+    star over the live edges never enters them.
+    """
+    adj = g.adj
+    seen = {keep[0]}
+    stack = [keep[0]]
+    while stack:
+        for y, i in adj[stack.pop()]:
+            if born[i] > expired and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    for k in keep:
+        if k not in seen:
+            return None
+    core = seen - peel_leaves(
+        {x: [y for y, i in adj[x] if born[i] > expired] for x in seen}, keep)
+    return [i for i, (u, v) in enumerate(g.edges)
+            if born[i] > expired and u in core and v in core]
 
 
 def _check_users(g: NetworkGraph, users: Iterable[int]) -> tuple[int, ...]:

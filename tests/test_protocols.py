@@ -235,3 +235,101 @@ def test_protocol_enum_round_trip():
     assert Protocol("sp-s").routing_kind == "star"
     assert Protocol("sp-s").is_single_path
     assert not Protocol("mp-s").is_single_path
+
+
+def reference_try_complete(state, links, delta):
+    # try_complete as it was before the live-core search: a Werner map over
+    # every live link and routing's own connectivity test
+    born, t = links.born, links.t
+    expired = t - links.q_c
+    if state.plan is not None:
+        all_live = all(born[i] > expired for i, _ in state.tracked)
+        return state.plan if all_live else None
+    for inc in state.user_incidence:
+        if all(born[i] <= expired for i in inc):
+            return None
+    if state.center_incidence is not None:
+        if sum(born[i] > expired for i in state.center_incidence) < len(state.users):
+            return None
+    edges, w0 = links.graph.edges, links.graph.w0
+    werner = {edges[i]: w0[i] * delta ** (t - b)
+              for i, b in enumerate(born) if b > expired}
+    route = routing.select_multipath(list(werner), werner, state.users,
+                                     state.kind.routing_kind, center=state.center)
+    return None if route is None else protocols.plan_realisation(route, links.graph,
+                                                                 state.users)
+
+
+@pytest.mark.parametrize("kind", [p.value for p in Protocol])
+def test_try_complete_matches_reference(kind):
+    rng = np.random.default_rng(27)
+    planned = 0
+    for m in (3, 4, 5, 6):
+        g = topology.make_grid(m, 0.3, 0.95)
+        # a few links of w0 = 0, which routing drops before it connects
+        g = topology.NetworkGraph(g.n_nodes, [(u, v, 0.3, 0.0 if (u + v) % 7 == 0 else 0.95)
+                                              for u, v in g.edges])
+        for _ in range(12):
+            users = tuple(rng.choice(g.n_nodes, size=int(rng.integers(2, 5)), replace=False))
+            try:
+                state = protocols.initialize(kind, g, users)
+            except routing.NoRouteError:
+                continue
+            for _ in range(10):
+                q_c = int(rng.integers(1, 6))
+                links = LinkState(g, q_c=q_c)
+                links.t = 20
+                links.born = [links.t - int(a) for a in rng.integers(0, q_c + 2, g.n_edges)]
+                want = reference_try_complete(state, links, 0.98)
+                got = protocols.try_complete(state, links, 0.98)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got.route == want.route
+                    planned += 1
+    assert planned > 20
+
+
+def test_failed_prechecks_skip_the_graph_search(monkeypatch):
+    calls = []
+
+    def forbidden(*args, **kwargs):
+        calls.append(args)
+
+    monkeypatch.setattr(protocols, "live_core", forbidden)
+    monkeypatch.setattr(routing, "select_multipath", forbidden)
+    g = topology.make_grid(4, 0.5, 0.9)
+    users = (0, 3, 12, 15)
+    # mp-s: every edge live but one of the centre's four links
+    state = protocols.initialize("mp-s", g, users)
+    links = LinkState(g, q_c=5)
+    place(links, *g.edges)
+    links.born[state.center_incidence[0]] = links.t - links.q_c
+    assert protocols.try_complete(state, links, 0.99) is None
+    # mp-t: every edge live but those at user 3
+    state = protocols.initialize("mp-t", g, users)
+    links = LinkState(g, q_c=5)
+    place(links, *(e for e in g.edges if 3 not in e))
+    assert protocols.try_complete(state, links, 0.99) is None
+    assert calls == []
+
+
+def test_mp_s_centre_cut_off_from_the_users_is_not_routed(monkeypatch):
+    calls = []
+    search = protocols.live_core
+
+    def spy(*args):
+        calls.append("live_core")
+        return search(*args)
+
+    monkeypatch.setattr(protocols, "live_core", spy)
+    monkeypatch.setattr(routing, "select_multipath", lambda *a, **k: calls.append("routing"))
+    g = topology.make_grid(6, 0.5, 0.9)
+    state = protocols.initialize("mp-s", g, (0, 5, 30, 35))
+    # the users are joined by the grid's border; the centre's four links
+    # touch interior nodes only, so the centre is kept apart from them
+    border = [(u, v) for u, v in g.edges
+              if u // 6 == v // 6 in (0, 5) or u % 6 == v % 6 in (0, 5)]
+    links = LinkState(g, q_c=5)
+    place(links, *border, *(e for e in g.edges if state.center in e))
+    assert protocols.try_complete(state, links, 0.99) is None
+    assert calls == ["live_core"]

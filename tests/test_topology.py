@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,3 +187,96 @@ def test_centroid_exclude():
     g = make_grid(3, 0.5, 0.9)
     c = topology.centroid_node(g, [0, 2, 6, 8], exclude=[4])
     assert c != 4
+
+
+def round_pruned(edges, keep):
+    # reference: drop every edge with a non-keep degree-1 end, round by round
+    edges = set(edges)
+    while True:
+        degree = {}
+        for u, v in edges:
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        drop = {e for e in edges if any(degree[x] == 1 and x not in keep for x in e)}
+        if not drop:
+            return edges
+        edges -= drop
+
+
+@settings(max_examples=300)
+@given(edge_sets())
+def test_peel_leaves_matches_round_pruning(case):
+    n, edges, keep = case
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    removed = topology.peel_leaves(adj, set(keep))
+    assert {e for e in edges if removed.isdisjoint(e)} == round_pruned(edges, set(keep))
+
+
+def live_born(g, live):
+    # with expired = 0, edge i is live exactly when born[i] = 1
+    return [1 if e in live else 0 for e in g.edges]
+
+
+def test_live_core_peels_hanging_trees_and_other_components():
+    g = make_grid(4, 0.5, 0.9)
+    # users 0 and 3 joined along the top row; a tree hangs off node 1 and
+    # another off node 2, and edge (10, 11) is a separate component
+    live = {(0, 1), (1, 2), (2, 3), (1, 5), (5, 9), (5, 6), (2, 6), (6, 7),
+            (10, 11)}
+    born = live_born(g, live)
+    core = topology.live_core(g, born, 0, (0, 3))
+    # the cycle 1-2-6-5 stays; 9 and 7 hang off it and go
+    assert [g.edges[i] for i in core] == sorted({(0, 1), (1, 2), (2, 3), (1, 5),
+                                                 (5, 6), (2, 6)})
+    # a kept node is never peeled, even at degree 1
+    core = topology.live_core(g, born, 0, (0, 3, 7))
+    assert (6, 7) in {g.edges[i] for i in core}
+    assert topology.live_core(g, born, 0, (0, 10)) is None
+    assert topology.live_core(g, born, 0, (0, 15)) is None   # a node no live edge touches
+
+
+def test_live_core_routes_like_all_live_edges():
+    # routing on the core returns the very route it returns on every live
+    # edge, and the core exists exactly when the kept nodes are connected
+    rng = random.Random(27)
+    counts = {"tree": 0, "star": 0, "none": 0, "peeled": 0}
+    for case in range(600):
+        m = rng.randint(3, 6)
+        g = make_grid(m, 0.5, 0.9)
+        survive = rng.uniform(0.3, 0.9)
+        live = [e for e in g.edges if rng.random() < survive]
+        born = live_born(g, set(live))
+        if case % 3 == 0:     # tie-heavy: one value everywhere
+            pool = [rng.choice([0.9, 1.0])]
+        else:                 # a few values, some exactly 1.0 and some 0
+            pool = [0.0, 0.5, 0.8, 0.8, 1.0, 1.0]
+        werner = {e: rng.choice(pool) for e in live}
+        kind = "tree" if case % 2 else "star"
+        if kind == "tree":
+            users = sorted(rng.sample(range(g.n_nodes), rng.randint(2, min(7, m + 2))))
+            center = None
+        else:
+            users = sorted(rng.sample(range(g.n_nodes), rng.randint(2, 4)))
+            # prefer a centre with a live link per user, so stars exist
+            degree = {v: sum(v in e for e in live) for v in range(g.n_nodes)}
+            rest = [v for v in range(g.n_nodes) if v not in users]
+            center = rng.choice([v for v in rest if degree[v] >= len(users)] or rest)
+        keep = users if center is None else users + [center]
+        core = topology.live_core(g, born, 0, keep)
+        assert (core is None) == (not users_connected(live, keep))
+        want = routing.select_multipath(live, werner, users, kind, center=center)
+        if core is None:
+            assert want is None
+            counts["none"] += 1
+            continue
+        core_edges = [g.edges[i] for i in core]
+        assert core_edges == sorted(core_edges) and set(core_edges) <= set(live)
+        got = routing.select_multipath(core_edges, werner, users, kind, center=center)
+        assert got == want      # the same branches and centre, or both None
+        if got is not None:
+            counts[kind] += 1
+            counts["peeled"] += len(core_edges) < len(live)
+    assert min(counts.values()) > 50
